@@ -162,10 +162,6 @@ def norm_pair(a: Element, b: Element) -> tuple[Element, Element]:
     return (b, a)
 
 
-def pair_key(p: tuple[Element, Element]) -> tuple:
-    return element_key(p[0]) + element_key(p[1])
-
-
 class Database:
     """A schema plus a finite set of tid-annotated facts.
 
@@ -232,15 +228,13 @@ class EquivRel:
 
     Built as the reflexive-symmetric-transitive closure of a generator pair
     set.  Only non-singleton classes are stored; every other element is its
-    own class.  Equality and hashing are by partition, not by generators.
+    own class.  Equality and hashing are by partition.
     """
 
-    __slots__ = ("universe", "generators", "_class_of", "_merged_classes", "_hash")
+    __slots__ = ("universe", "_class_of", "_merged_classes", "_hash")
 
-    def __init__(self, universe: frozenset, generators: frozenset,
-                 class_of: dict, merged_classes: tuple):
+    def __init__(self, universe: frozenset, class_of: dict, merged_classes: tuple):
         self.universe = universe
-        self.generators = generators
         self._class_of = class_of
         self._merged_classes = merged_classes
         self._hash = hash((self.universe, frozenset(self._merged_classes)))
@@ -281,11 +275,23 @@ class EquivRel:
             for e in members:
                 class_of[e] = fs
         merged.sort(key=lambda c: min(element_key(e) for e in c))
-        return cls(uni, gens, class_of, tuple(merged))
+        return cls(uni, class_of, tuple(merged))
 
     @classmethod
     def identity(cls, universe: Iterable[Element]) -> "EquivRel":
         return cls.close((), universe)
+
+    @classmethod
+    def from_labels(cls, elements: tuple, labels: tuple[int, ...]) -> "EquivRel":
+        """The relation over `elements`, given in `element_key` order, whose
+        element i lies in the class labelled `labels[i]`, the least index
+        in that class."""
+        groups: dict[int, list] = {}
+        for e, label in zip(elements, labels):
+            groups.setdefault(label, []).append(e)
+        merged = tuple(frozenset(g) for _, g in sorted(groups.items()) if len(g) > 1)
+        class_of = {e: c for c in merged for e in c}
+        return cls(frozenset(elements), class_of, merged)
 
     def same(self, a: Element, b: Element) -> bool:
         if a == b:
@@ -325,8 +331,7 @@ class EquivRel:
     def extend(self, pairs: Iterable[tuple[Element, Element]]) -> "EquivRel":
         """The closure extended by more pairs; incremental, same result as
         re-closing all generators together."""
-        new = frozenset(tuple(p) for p in pairs)
-        fresh = [(a, b) for a, b in new if not self.same(a, b)]
+        fresh = [(a, b) for a, b in pairs if not self.same(a, b)]
         if not fresh:
             return self
         groups = [set(c) for c in self._merged_classes]
@@ -352,7 +357,7 @@ class EquivRel:
             key=lambda c: min(element_key(e) for e in c),
         )
         class_of = {e: c for c in merged for e in c}
-        return EquivRel(self.universe, self.generators | new, class_of, tuple(merged))
+        return EquivRel(self.universe, class_of, tuple(merged))
 
     def is_identity(self) -> bool:
         return not self._merged_classes
@@ -451,3 +456,82 @@ def _extend_cached(db: Database, obj_merge: EquivRel, cell_merge: EquivRel) -> E
                 sets.append(frozenset(db.value_at(c) for c in cell_merge.class_of(cell)))
         ext_facts.append(ExtFact(f.rel, f.tid, tuple(sets), f))
     return ExtendedDatabase(db, obj_merge, cell_merge, tuple(ext_facts))
+
+
+class InternedDatabase:
+    """A database with its elements and constants interned to ints, for a
+    search that builds many extended databases of one database.
+
+    Objects and cells are numbered in `element_key` order.  Constants get
+    codes: an object's code is its number, and tids, values and the null
+    constant follow, as do constants that `code` meets later.  A merge state
+    is a pair of *label tuples*, one over objects and one over cells, where
+    each element is labelled with the least number in its class, so equal
+    partitions have equal label tuples.  An extended database is a tuple of
+    *rows*, one per fact of `db.facts`; a row holds the code set at the tid
+    position and at each argument position, as `ExtFact.set_at` does.
+    """
+
+    __slots__ = ("db", "objects", "cells", "constants", "_codes", "fact_rel",
+                 "facts_of", "orig", "cell_of", "_obj_at", "_cell_at", "_cell_value")
+
+    def __init__(self, db: Database):
+        self.db = db
+        self.objects = tuple(sorted(db.objects(), key=element_key))
+        self.cells = tuple(sorted(db.cells(), key=element_key))
+        self.constants: list[Constant] = list(self.objects)
+        self._codes = {c: i for i, c in enumerate(self.objects)}
+        self.fact_rel = tuple(f.rel.name for f in db.facts)
+        self.facts_of = {name: tuple(i for i, rel in enumerate(self.fact_rel) if rel == name)
+                         for name in db.schema}
+        self.orig = tuple(tuple(self.code(c) for c in (f.tid,) + f.args) for f in db.facts)
+        cell_index = {c: i for i, c in enumerate(self.cells)}
+        self.cell_of = {(self.code(c.tid), c.pos): i for c, i in cell_index.items()}
+        obj_at: list[list[tuple[int, int]]] = [[] for _ in self.objects]
+        cell_at: list[tuple[int, int]] = [(0, 0)] * len(self.cells)
+        for fi, f in enumerate(db.facts):
+            for pos, a in enumerate(f.args, start=1):
+                if a.sort is Sort.OBJ:
+                    obj_at[self._codes[a]].append((fi, pos))
+                elif f.rel.type_vec[pos - 1] is Sort.VAL:
+                    cell_at[cell_index[Cell(f.tid, pos)]] = (fi, pos)
+        self._obj_at = tuple(tuple(occ) for occ in obj_at)
+        self._cell_at = tuple(cell_at)
+        self._cell_value = tuple(self.orig[fi][pos] for fi, pos in cell_at)
+
+    def code(self, c: Constant) -> int:
+        """The code of a constant, interning it on first sight."""
+        k = self._codes.get(c)
+        if k is None:
+            k = self._codes[c] = len(self.constants)
+            self.constants.append(c)
+        return k
+
+    def identity_rows(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(tuple(frozenset((k,)) for k in codes) for codes in self.orig)
+
+    def merged_rows(self, rows: tuple, cells: bool, labels: tuple[int, ...], label: int):
+        """The rows after the class `label` of `labels` was formed by a merge,
+        from the rows before it.  Returns the new rows and the indices of
+        the facts whose rows changed, grouped by relation name; every other
+        row is shared with `rows`."""
+        members = [i for i, l in enumerate(labels) if l == label]
+        if cells:
+            merged = frozenset(self._cell_value[i] for i in members)
+            places = [self._cell_at[i] for i in members]
+        else:
+            merged = frozenset(members)
+            places = [p for i in members for p in self._obj_at[i]]
+        out = list(rows)
+        touched: dict[int, list] = {}
+        for fi, pos in places:
+            if rows[fi][pos] != merged:
+                row = touched.get(fi)
+                if row is None:
+                    row = touched[fi] = list(rows[fi])
+                row[pos] = merged
+        changed: dict[str, list[int]] = {}
+        for fi, row in touched.items():
+            out[fi] = tuple(row)
+            changed.setdefault(self.fact_rel[fi], []).append(fi)
+        return tuple(out), changed

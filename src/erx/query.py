@@ -21,6 +21,7 @@ directly, so denial-constraint checking is unaffected by the anchoring.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -30,11 +31,11 @@ from .core import (
     EngineError,
     ExtendedDatabase,
     ExtFact,
+    InternedDatabase,
     NULL,
     Sort,
     is_null,
     norm_pair,
-    val,
 )
 from .specdsl import (
     Atom,
@@ -128,6 +129,10 @@ EMPTY_SIM = SimilarityStore()
 
 @lru_cache(maxsize=8192)
 def _query_plan(q: Query, db):
+    return _plan(q, db.schema)
+
+
+def _plan(q: Query, schema):
     """Static per-query data: relational atoms, variable occurrence map
     (atom index, position with 0 the tid slot), and the variables whose
     multiple value-position occurrences must never join via null.  Also
@@ -136,7 +141,7 @@ def _query_plan(q: Query, db):
     occ: dict[str, list[tuple[int, int]]] = {}
     counts: dict[str, int] = {}
     for ai, atom in enumerate(rel_atoms):
-        decl = db.schema[atom.rel]
+        decl = schema[atom.rel]
         occ.setdefault(atom.tid.name, []).append((ai, 0))
         for pos, term in enumerate(atom.args, start=1):
             if isinstance(term, (Var, TidVar)):
@@ -177,7 +182,6 @@ def _witnesses(q: Query, xdb: ExtendedDatabase) -> Iterator[tuple[list[ExtFact],
                 yield list(chosen), final
             return
         atom = rel_atoms[i]
-        decl = xdb.db.schema[atom.rel]
         for xf in xdb.facts_of(atom.rel):
             nxt = dict(inter)
             good = True
@@ -185,7 +189,7 @@ def _witnesses(q: Query, xdb: ExtendedDatabase) -> Iterator[tuple[list[ExtFact],
                 term = atom.tid if pos == 0 else atom.args[pos - 1]
                 s = xf.set_at(pos)
                 if isinstance(term, ConstTerm):
-                    if Constant(decl.type_vec[pos - 1], term.text) not in s:
+                    if Constant(term.sort, term.text) not in s:
                         good = False
                         break
                 else:
@@ -205,7 +209,7 @@ def _witnesses(q: Query, xdb: ExtendedDatabase) -> Iterator[tuple[list[ExtFact],
 
 def _term_set(t, inter: dict[str, frozenset[Constant]]) -> frozenset[Constant]:
     if isinstance(t, ConstTerm):
-        return frozenset((val(t.text),))
+        return frozenset((Constant(t.sort, t.text),))
     return inter[t.name]
 
 
@@ -277,3 +281,210 @@ def dc_violated(dc: DenialConstraint, xdb: ExtendedDatabase, sim: SimilarityStor
     so the check runs once per constraint and merge state.
     """
     return _boolean_cached(dc_body_query(dc), xdb, sim)
+
+
+class CompiledQuery:
+    """A query compiled against an `InternedDatabase` and evaluated over its
+    rows, with the semantics of `eval_query` and `eval_boolean`.
+
+    Besides full evaluation it applies the delta rule of semi-naive
+    evaluation: `holds_delta` and `answers_delta` consider only witnesses
+    that pick at least one changed fact, searching from that fact first.
+    A witness over unchanged rows is a witness before the merge too, so for
+    a `monotone` query (one without inequality atoms, whose witnesses
+    survive every merge) these are all the witnesses a merge can add.
+    """
+
+    def __init__(self, q: Query, idb: InternedDatabase, sim: SimilarityStore):
+        rel_atoms, occ, strip_vars = _plan(q, idb.db.schema)
+        var = {name: i for i, name in enumerate(sorted(occ))}
+        self.monotone = not any(isinstance(a, NeqAtom) for a in q.atoms)
+        self._idb = idb
+        self._sim = sim
+        self._scores: dict[tuple[int, int], int] = {}
+        self._null = idb.code(NULL)
+        self._n_vars = len(var)
+        self._strip = tuple(var[v] for v in sorted(strip_vars))
+        self._free = tuple((var[v], tuple(occ[v])) for v in q.free)
+        self._rels = tuple(a.rel for a in rel_atoms)
+
+        def term(t):
+            if isinstance(t, ConstTerm):
+                return -1, frozenset((idb.code(Constant(t.sort, t.text)),))
+            return var[t.name], frozenset()
+
+        self._conditions = tuple(
+            (isinstance(a, SimAtom), *term(a.left), *term(a.right),
+             a.threshold if isinstance(a, SimAtom) else 0)
+            for a in q.atoms if isinstance(a, (SimAtom, NeqAtom))
+        )
+
+        # A variable that occurs once and is read by no condition or head
+        # needs no operation: every position of a row is a non-empty set.
+        read = {v for v, places in occ.items() if len(places) > 1} | set(q.free)
+        read |= {t.name for a in q.atoms if isinstance(a, (SimAtom, NeqAtom))
+                 for t in (a.left, a.right) if not isinstance(t, ConstTerm)}
+        facts = [idb.facts_of.get(a.rel, ()) for a in rel_atoms]
+
+        def step(ai, bound):
+            """(atom, facts, constant checks, joins on variables bound by
+            earlier atoms, first bindings, joins on variables bound earlier
+            in this atom)."""
+            consts, meets, binds, late = [], [], [], []
+            fresh = set()
+            for pos, t in enumerate((rel_atoms[ai].tid,) + rel_atoms[ai].args):
+                if isinstance(t, ConstTerm):
+                    consts.append((pos, idb.code(Constant(t.sort, t.text))))
+                elif t.name in bound:
+                    meets.append((pos, var[t.name]))
+                elif t.name in fresh:
+                    late.append((pos, var[t.name]))
+                elif t.name in read:
+                    binds.append((pos, var[t.name]))
+                    fresh.add(t.name)
+            bound |= fresh
+            return ai, facts[ai], tuple(consts), tuple(meets), tuple(binds), tuple(late)
+
+        def filtered(ai, bound) -> bool:
+            names = [t.name for t in (rel_atoms[ai].tid,) + rel_atoms[ai].args
+                     if not isinstance(t, ConstTerm)]
+            return (len(names) < len(rel_atoms[ai].args) + 1 or len(set(names)) < len(names)
+                    or not bound.isdisjoint(names))
+
+        def plan(first):
+            """Join order: `first` (when given), then greedily the atom that
+            filters (by a constant, a repeated or an already bound
+            variable) over the fewest facts."""
+            rest = list(range(len(rel_atoms)))
+            bound: set[str] = set()
+            out = []
+            while rest:
+                ai = first if first is not None and not out else min(
+                    rest, key=lambda i: (not filtered(i, bound), len(facts[i]), i))
+                rest.remove(ai)
+                out.append(step(ai, bound))
+            return tuple(out)
+
+        # Order 0 is for full evaluation; order i + 1 starts from atom i.
+        self._orders = (plan(None),) + tuple(plan(i) for i in range(len(rel_atoms)))
+        self._rel_set = frozenset(self._rels)
+        # An atom over a relation without facts has no witness, so neither
+        # has the query.
+        self._dead = not all(facts)
+
+    def holds(self, rows) -> bool:
+        return self._search(0, rows, None, self._finish)
+
+    def holds_delta(self, rows, changed: dict[str, list[int]]) -> bool:
+        if self._dead or self._rel_set.isdisjoint(changed):
+            return False
+        for i, rel in enumerate(self._rels):
+            if rel in changed and self._search(i + 1, rows, changed[rel], self._finish):
+                return True
+        return False
+
+    def answers(self, rows) -> set[tuple[int, ...]]:
+        out: set[tuple[int, ...]] = set()
+        self._search(0, rows, None, self._collector(out))
+        return out
+
+    def answers_delta(self, rows, changed: dict[str, list[int]]) -> set[tuple[int, ...]]:
+        out: set[tuple[int, ...]] = set()
+        leaf = self._collector(out)
+        for i, rel in enumerate(self._rels):
+            if rel in changed:
+                self._search(i + 1, rows, changed[rel], leaf)
+        return out
+
+    def _search(self, order: int, rows, first, leaf) -> bool:
+        """Depth-first join in the given atom order; the first atom ranges
+        over `first` when given.  Stops when `leaf` returns True."""
+        if self._dead:
+            return False
+        steps = self._orders[order]
+        if first is None:
+            first = steps[0][1] if steps else ()
+        return self._descend(steps, 0, len(steps), rows, first, [None] * self._n_vars,
+                             [0] * len(steps), leaf)
+
+    def _descend(self, steps, d, n, rows, facts, env, chosen, leaf) -> bool:
+        """Try each of `facts` for the atom of step d, then recurse."""
+        if d == n:
+            return leaf(env, chosen)
+        ai, _, consts, meets, binds, late = steps[d]
+        d += 1
+        nxt = steps[d][1] if d < n else ()
+        for f in facts:
+            row = rows[f]
+            for pos, code in consts:
+                if code not in row[pos]:
+                    break
+            else:
+                e = env.copy()
+                for pos, v in meets:
+                    s = e[v] & row[pos]
+                    if not s:
+                        break
+                    e[v] = s
+                else:
+                    for pos, v in binds:
+                        e[v] = row[pos]
+                    for pos, v in late:
+                        s = e[v] & row[pos]
+                        if not s:
+                            break
+                        e[v] = s
+                    else:
+                        chosen[ai] = f
+                        if self._descend(steps, d, n, rows, nxt, e, chosen, leaf):
+                            return True
+        return False
+
+    def _finish(self, env: list, chosen=None) -> bool:
+        """Strip null from the multiply-joined value variables, then check
+        the inequality and similarity atoms, as `_witnesses` and
+        `_conditions_hold` do.  Leaves the final candidate sets in env."""
+        null = self._null
+        for v in self._strip:
+            s = env[v]
+            if null in s:
+                if len(s) == 1:
+                    return False
+                env[v] = s - {null}
+        for is_sim, li, lc, ri, rc, threshold in self._conditions:
+            left = env[li] if li >= 0 else lc
+            right = env[ri] if ri >= 0 else rc
+            if not is_sim:
+                common = left & right
+                if common and (len(common) > 1 or null not in common):
+                    return False
+            elif not any(self._score(a, b) >= threshold
+                         for a in left if a != null for b in right if b != null):
+                return False
+        return True
+
+    def _collector(self, out: set):
+        orig = self._idb.orig
+        free = self._free
+
+        def leaf(env, chosen):
+            if not self._finish(env):
+                return False
+            pools = []
+            for v, occs in free:
+                s = env[v]
+                pool = {k for ai, pos in occs if (k := orig[chosen[ai]][pos]) in s}
+                if not pool:
+                    return False
+                pools.append(pool)
+            out.update(itertools.product(*pools))
+            return False
+
+        return leaf
+
+    def _score(self, a: int, b: int) -> int:
+        s = self._scores.get((a, b))
+        if s is None:
+            consts = self._idb.constants
+            s = self._scores[a, b] = self._sim.score(consts[a], consts[b])
+        return s

@@ -107,7 +107,13 @@ def criterion_sets(db: Database, cand: Candidate, spec: Specification,
                    sim: SimilarityStore) -> CriterionSets:
     entries = active_entries(db, cand, spec, sim)
     supp = frozenset(e for e in entries if in_merge(cand, e[0]))
-    viol = entries - supp
+    return criterion_sets_of(cand, supp, entries - supp)
+
+
+def criterion_sets_of(cand: Candidate, supp: frozenset[ActiveEntry],
+                      viol: frozenset[ActiveEntry]) -> CriterionSets:
+    """The annotated sets of a candidate whose active entries are known,
+    split into those its merges satisfy and those they violate."""
     return CriterionSets(
         eq=cand.E.merged_pairs() | cand.V.merged_pairs(),
         supp=supp,

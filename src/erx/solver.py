@@ -6,23 +6,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Cell, Database, DomainError, EngineError, EquivRel, element_key, extend
-from .query import SimilarityStore, dc_violated
+from .core import Cell, Database, DomainError, EngineError, EquivRel, InternedDatabase, element_key
+from .query import CompiledQuery, SimilarityStore, dc_body_query, rule_body_query
 from .semantics import (
     ALL_CRITERIA,
     CARD_CRITERIA,
+    ActiveEntry,
     Candidate,
     Criterion,
+    CriterionSets,
     Pair,
     active_entries,
     criterion_sets,
+    criterion_sets_of,
     identity_candidate,
     in_merge,
-    is_candidate,
     is_solution,
     strictly_better,
 )
-from .specdsl import Specification
+from .specdsl import ObjectRule, Specification
 
 
 class BudgetExceededError(EngineError):
@@ -39,21 +41,16 @@ class UnsupportedCriterionError(EngineError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """`method` picks the enumeration strategy: "derive" walks one-pair
-    derivations with partition dedup, "subsets" closes every subset of the
-    generator universe.  Both yield the same solution set; the subset walk
-    is the simpler reference, the derivation walk visits each candidate
-    once."""
+    """`pair_budget` bounds the derivable pair universe, `max_states` the
+    merge states the derivation walk visits."""
 
     max_solutions: int = 1_000_000
     pair_budget: int = 16
-    method: str = "derive"
+    max_states: int = 200_000
 
     def __post_init__(self):
-        if self.max_solutions < 1 or self.pair_budget < 1:
+        if self.max_solutions < 1 or self.pair_budget < 1 or self.max_states < 1:
             raise DomainError("budgets must be positive")
-        if self.method not in ("derive", "subsets"):
-            raise DomainError(f"unknown search method {self.method!r}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -97,96 +94,190 @@ def generator_universe(db: Database, spec: Specification,
     return tuple(sorted(collected, key=_pair_sort_key))
 
 
-def _close_subset(db: Database, pairs) -> Candidate:
-    pairs = list(pairs)
-    obj_pairs = [p for p in pairs if not isinstance(p[0], Cell)]
-    cell_pairs = [p for p in pairs if isinstance(p[0], Cell)]
-    return Candidate(
-        EquivRel.close(obj_pairs, db.objects()),
-        EquivRel.close(cell_pairs, db.cells()),
-    )
+class WalkState:
+    """One merge state of a `DerivationWalk`.
+
+    `labels` holds the object and the cell label tuple and `rows` the
+    extended database (see `InternedDatabase`).  `violated` holds one
+    verdict per denial constraint.  Active entries are (cells, a, b, rule):
+    `a < b` number two objects when `cells` is 0 and two cells when it is
+    1, so `labels[cells]` labels them.  `mono` holds the entries of rules
+    without inequality atoms.  Both are None for a state the walk will not
+    expand and that cannot be a solution.
+    """
+
+    __slots__ = ("labels", "rows", "violated", "mono", "entries", "solution")
+
+    def __init__(self, labels, rows, violated, mono, entries, solution):
+        self.labels = labels
+        self.rows = rows
+        self.violated = violated
+        self.mono = mono
+        self.entries = entries
+        self.solution = solution
 
 
-def _constraints_hold(db: Database, spec: Specification, cand: Candidate,
-                      sim: SimilarityStore) -> bool:
-    """Denial constraints and hard rules only; candidacy checked elsewhere."""
-    xdb = extend(db, cand.E, cand.V)
-    if any(dc_violated(dc, xdb, sim) for dc in spec.dcs):
-        return False
-    hard_labels = {r.label for r in spec.hard_rules()}
-    return all(
-        in_merge(cand, p)
-        for p, label in active_entries(db, cand, spec, sim)
-        if label in hard_labels
-    )
+class DerivationWalk:
+    """The candidates reachable from the identity merges by adding one
+    active pair at a time, each visited once, with its solution status.
 
+    A child is made by relabelling its parent's label tuple and is dropped
+    as a duplicate before anything else is built.  Each state gets its
+    constraint verdicts and active entries once, from its parent's:
 
-def _candidates_by_subsets(db, spec, sim, universe) -> list[Candidate]:
-    seen: set[Candidate] = set()
-    out = []
-    for mask in range(1 << len(universe)):
-        cand = _close_subset(db, (universe[i] for i in range(len(universe)) if mask >> i & 1))
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if is_candidate(db, spec, cand, sim):
-            out.append(cand)
-    return out
+      * rows of facts the merge does not touch are shared;
+      * a constraint without inequality atoms stays violated once it is,
+        and otherwise becomes violated only through a witness that picks a
+        changed fact;
+      * a rule without inequality atoms keeps its parent's entries and
+        gains those witnessed through a changed fact.
 
+    Constraints and rules with inequality atoms are evaluated in full.  In
+    the restricted setting every constraint is monotone, so a violating
+    state cannot lead to a solution (its derivation prefixes lie below any
+    solution and are violation-free) and is not expanded.
+    """
 
-def _candidates_by_derivation(db, spec, sim) -> list[Candidate]:
-    # Inequality-free constraints are monotone: once violated, every
-    # extension stays violated, and any solution's derivation prefixes are
-    # below the solution, hence violation-free.  Expanding past a violating
-    # state therefore cannot reach further solutions and is skipped.
-    prune = spec.restricted and bool(spec.dcs)
-    start = identity_candidate(db)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        if prune:
-            xdb = extend(db, cur.E, cur.V)
-            if any(dc_violated(dc, xdb, sim) for dc in spec.dcs):
+    def __init__(self, db: Database, spec: Specification, sim: SimilarityStore):
+        self.idb = idb = InternedDatabase(db)
+        rules = spec.rules()
+        self._rule_labels = tuple(r.label for r in rules)
+        self._hard = tuple(r.hard for r in rules)
+        self._rules = tuple(
+            (k, CompiledQuery(rule_body_query(r), idb, sim),
+             None if isinstance(r, ObjectRule) else r.head_pos)
+            for k, r in enumerate(rules)
+        )
+        self._dcs = tuple(CompiledQuery(dc_body_query(dc), idb, sim) for dc in spec.dcs)
+        self._prune = spec.restricted and bool(spec.dcs)
+
+    def states(self, max_states: int = DEFAULT_CONFIG.max_states):
+        """Yield every reachable state once, depth first from the identity.
+        Raises BudgetExceededError when there are more than `max_states`."""
+        idb = self.idb
+        key = (tuple(range(len(idb.objects))), tuple(range(len(idb.cells))))
+        rows = idb.identity_rows()
+        start = self._state(key, rows, tuple(q.holds(rows) for q in self._dcs), None, None)
+        seen = {key}
+        found = int(start.solution)
+        stack = [start]
+        yield start
+        while stack:
+            cur = stack.pop()
+            if cur.entries is None:
                 continue
-        for p, _ in active_entries(db, cur, spec, sim):
-            if in_merge(cur, p):
-                continue
-            nxt = _extend_candidate(cur, [p])
-            if nxt not in seen:
-                seen.add(nxt)
+            for cells, la, lb in self._merges(cur):
+                labels = tuple(la if l == lb else l for l in cur.labels[cells])
+                key = (cur.labels[0], labels) if cells else (labels, cur.labels[1])
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > max_states:
+                    raise BudgetExceededError(
+                        f"the derivation walk reached {len(seen)} merge states, over the "
+                        f"budget of {max_states}; {found} solution(s) found so far"
+                    )
+                rows, changed = idb.merged_rows(cur.rows, cells, labels, la)
+                violated = tuple(
+                    (cur.violated[k] or q.holds_delta(rows, changed)) if q.monotone
+                    else q.holds(rows)
+                    for k, q in enumerate(self._dcs)
+                )
+                nxt = self._state(key, rows, violated, cur.mono, changed)
+                found += nxt.solution
                 stack.append(nxt)
-    return list(seen)
+                yield nxt
+
+    def _state(self, key, rows, violated, mono, changed) -> WalkState:
+        if self._prune and any(violated):
+            return WalkState(key, rows, violated, None, None, False)
+        if mono is None:
+            mono = frozenset(e for k, q, head in self._rules if q.monotone
+                             for e in self._entries(k, head, q.answers(rows)))
+        else:
+            delta = [e for k, q, head in self._rules if q.monotone
+                     for e in self._entries(k, head, q.answers_delta(rows, changed))]
+            if delta:
+                mono = mono.union(delta)
+        full = [e for k, q, head in self._rules if not q.monotone
+                for e in self._entries(k, head, q.answers(rows))]
+        entries = mono.union(full) if full else mono
+        solution = not any(violated) and all(
+            key[cells][a] == key[cells][b] for cells, a, b, k in entries if self._hard[k]
+        )
+        return WalkState(key, rows, violated, mono, entries, solution)
+
+    def _entries(self, k: int, head_pos, answers):
+        """Active entries of rule k from its body's answers."""
+        if head_pos is None:
+            pairs = answers
+        else:
+            i, j = head_pos
+            cell_of = self.idb.cell_of
+            pairs = [(cell_of[ta, i], cell_of[tb, j]) for ta, tb in answers]
+        cells = int(head_pos is not None)
+        return [(cells, a, b, k) if a < b else (cells, b, a, k) for a, b in pairs if a != b]
+
+    @staticmethod
+    def _merges(state: WalkState):
+        """The distinct class pairs (cells, la, lb), la < lb, that some
+        active entry of the state asks to merge."""
+        out = set()
+        for cells, a, b, _ in state.entries:
+            la, lb = state.labels[cells][a], state.labels[cells][b]
+            if la != lb:
+                out.add((cells, la, lb) if la < lb else (cells, lb, la))
+        return out
+
+    def candidate(self, state: WalkState) -> Candidate:
+        return Candidate(EquivRel.from_labels(self.idb.objects, state.labels[0]),
+                         EquivRel.from_labels(self.idb.cells, state.labels[1]))
+
+    def criterion_sets(self, cand: Candidate, state: WalkState) -> CriterionSets:
+        """`semantics.criterion_sets` of the state, whose candidate is cand."""
+        supp, viol = set(), set()
+        for e in state.entries:
+            labels = state.labels[e[0]]
+            (supp if labels[e[1]] == labels[e[2]] else viol).add(self._entry(e))
+        return criterion_sets_of(cand, frozenset(supp), frozenset(viol))
+
+    def _entry(self, e) -> ActiveEntry:
+        cells, a, b, k = e
+        elements = self.idb.cells if cells else self.idb.objects
+        return (elements[a], elements[b]), self._rule_labels[k]
+
+
+def _solutions(db: Database, spec: Specification, sim: SimilarityStore, cfg: SearchConfig):
+    """The walk and its solutions in canonical order, as (candidate, state)."""
+    universe = generator_universe(db, spec, sim)
+    if len(universe) > cfg.pair_budget:
+        raise BudgetExceededError(
+            f"{len(universe)} derivable pairs exceed the budget of {cfg.pair_budget}"
+        )
+    walk = DerivationWalk(db, spec, sim)
+    found = [(walk.candidate(s), s) for s in walk.states(cfg.max_states) if s.solution]
+    found.sort(key=lambda sol: candidate_key(sol[0]))
+    return walk, found[: cfg.max_solutions]
 
 
 def enumerate_solutions(db: Database, spec: Specification, sim: SimilarityStore,
                         cfg: SearchConfig = DEFAULT_CONFIG) -> tuple[Candidate, ...]:
     """All solutions, in canonical order.
 
-    Candidates are generated per the configured method, then filtered by
-    the constraint and hard-rule checks.  Raises rather than silently
-    truncating when the derivable pair universe exceeds the budget.
+    Raises rather than silently truncating when the derivable pair universe
+    or the number of merge states exceeds its budget.
     """
-    universe = generator_universe(db, spec, sim)
-    if len(universe) > cfg.pair_budget:
-        raise BudgetExceededError(
-            f"{len(universe)} derivable pairs exceed the budget of {cfg.pair_budget}"
-        )
-    if cfg.method == "subsets":
-        candidates = _candidates_by_subsets(db, spec, sim, universe)
-    else:
-        candidates = _candidates_by_derivation(db, spec, sim)
-    solutions = [c for c in candidates if _constraints_hold(db, spec, c, sim)]
-    solutions.sort(key=candidate_key)
-    return tuple(solutions[: cfg.max_solutions])
+    _, found = _solutions(db, spec, sim, cfg)
+    return tuple(cand for cand, _ in found)
 
 
 def optimal_solutions(db: Database, spec: Specification, criterion: Criterion,
                       sim: SimilarityStore,
                       cfg: SearchConfig = DEFAULT_CONFIG) -> tuple[Candidate, ...]:
     """The solutions no other solution strictly beats under the criterion."""
-    sols = enumerate_solutions(db, spec, sim, cfg)
-    sets = [criterion_sets(db, c, spec, sim) for c in sols]
+    walk, found = _solutions(db, spec, sim, cfg)
+    sols = [cand for cand, _ in found]
+    sets = [walk.criterion_sets(cand, state) for cand, state in found]
     out = []
     for i, cand in enumerate(sols):
         if not any(strictly_better(sets[j], sets[i], criterion) for j in range(len(sols))):
@@ -213,12 +304,12 @@ def recognize_many(db: Database, spec: Specification, cand: Candidate,
     if not is_solution(db, spec, cand, sim):
         return {c: RecognitionResult(False, None) for c in criteria}
     own = criterion_sets(db, cand, spec, sim)
-    sols = enumerate_solutions(db, spec, sim, cfg)
-    sol_sets = [criterion_sets(db, s, spec, sim) for s in sols]
+    walk, found = _solutions(db, spec, sim, cfg)
+    sol_sets = [walk.criterion_sets(s, state) for s, state in found]
     out: dict[Criterion, RecognitionResult] = {}
     for c in criteria:
         witness = None
-        for other, other_sets in zip(sols, sol_sets):
+        for (other, _), other_sets in zip(found, sol_sets):
             if strictly_better(other_sets, own, c):
                 witness = other
                 break

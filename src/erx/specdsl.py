@@ -48,7 +48,11 @@ class TidVar:
 
 @dataclass(frozen=True, slots=True)
 class ConstTerm:
+    """A quoted constant.  `parse_spec` gives it the sort of the position it
+    fills, or of the variable it is compared with."""
+
     text: str
+    sort: Sort = Sort.VAL
 
 
 Term = Union[Var, TidVar, ConstTerm]
@@ -131,9 +135,6 @@ class Specification:
             if r.label == label:
                 return r
         raise KeyError(label)
-
-    def is_hard_label(self, label: str) -> bool:
-        return self.rule_by_label(label).hard
 
 
 _TOKEN_RE = re.compile(
@@ -238,6 +239,7 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
 
     def parse_body() -> tuple[Atom, ...]:
         atoms: list[Atom] = []
+        neq_toks: list[_Tok] = []
         while True:
             tok = p.next()
             if tok.kind == "name" and tok.text == "sim":
@@ -277,6 +279,8 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
                         f"{decl.name} takes {decl.arity} arguments, got {len(args)}",
                         close.line, close.col,
                     )
+                args = [ConstTerm(t.text, sort) if isinstance(t, ConstTerm) else t
+                        for t, sort in zip(args, decl.type_vec)]
                 atoms.append(RelAtom(decl.name, tidvar, tuple(args)))
             else:
                 # bare term: must start an inequality atom
@@ -286,13 +290,14 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
                     raise SpecError(f"expected an atom, got {tok.text!r}", tok.line, tok.col)
                 b = parse_term(p.next())
                 atoms.append(NeqAtom(a, b))
+                neq_toks.append(op)
             nxt = p.peek()
             if nxt is None:
                 raise SpecError("unterminated statement", tok.line, tok.col)
             if nxt.text == ",":
                 p.next()
                 continue
-            return tuple(atoms)
+            return _type_inequalities(atoms, neq_toks, decls)
 
     def parse_schema_stmt():
         name_tok = p.expect_name()
@@ -415,6 +420,35 @@ def _term_positions(body: Iterable[Atom], schema: dict[str, RelationDecl]):
                 kind = "obj" if decl.type_vec[i - 1] is Sort.OBJ else "val"
                 note(t.name, atom.rel, i, kind)
     return occ, kinds
+
+
+def _type_inequalities(atoms: list[Atom], neq_toks: list[_Tok],
+                       schema: dict[str, RelationDecl]) -> tuple[Atom, ...]:
+    """Give each constant in an inequality atom the sort of the variable it
+    is compared with.  Inequalities between two constants, or between a
+    constant and a tid variable, are rejected."""
+    if not neq_toks:
+        return tuple(atoms)
+    _, kinds = _term_positions(atoms, schema)
+    toks = iter(neq_toks)
+    out: list[Atom] = []
+    for atom in atoms:
+        if isinstance(atom, NeqAtom):
+            tok = next(toks)
+            left, right = atom.left, atom.right
+            if isinstance(left, ConstTerm) and isinstance(right, ConstTerm):
+                raise SpecError("inequality between two constants", tok.line, tok.col)
+            if isinstance(left, ConstTerm) or isinstance(right, ConstTerm):
+                var, const = (right, left) if isinstance(left, ConstTerm) else (left, right)
+                kind = kinds.get(var.name)
+                if kind == "tid":
+                    raise SpecError(f"inequality between tid variable {var.name!r} "
+                                    "and a constant", tok.line, tok.col)
+                sort = Sort.OBJ if kind == "obj" else Sort.VAL
+                typed = ConstTerm(const.text, sort)
+                atom = NeqAtom(typed, right) if const is left else NeqAtom(left, typed)
+        out.append(atom)
+    return tuple(out)
 
 
 def validate_rule_shapes(spec: Specification) -> list[str]:

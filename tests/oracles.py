@@ -3,8 +3,9 @@
 Everything here is deliberately naive and kept separate from the package:
 closure by repeated pairwise saturation, recursive edit distance, a direct
 transcription of Jaro-Winkler, dense TF-IDF vectors, substitution-based
-conjunctive-query evaluation, unrestricted witness search, and breadth-first
-exploration of one-pair-at-a-time derivations.
+conjunctive-query evaluation, unrestricted witness search, depth-first
+exploration of one-pair-at-a-time derivations, and solution enumeration by
+closing every subset of the generator universe.
 """
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ import itertools
 import math
 from functools import lru_cache
 
-from erx.core import Cell, NULL, Sort, extend, is_null
-from erx.query import SimilarityStore
-from erx.semantics import Candidate, active_entries, identity_candidate, in_merge
+from erx.core import Cell, EquivRel, NULL, Sort, extend, is_null
+from erx.query import SimilarityStore, dc_violated
+from erx.semantics import Candidate, active_entries, identity_candidate, in_merge, is_candidate
+from erx.solver import candidate_key, generator_universe
 from erx.specdsl import ConstTerm, NeqAtom, RelAtom, SimAtom, TidVar, Var
 
 
@@ -270,3 +272,45 @@ def merged_pair_set(rel):
         for a, b in itertools.combinations(sorted(cls, key=repr), 2):
             out.add(frozenset((a, b)))
     return out
+
+
+def _close_subset(db, pairs) -> Candidate:
+    pairs = list(pairs)
+    obj_pairs = [p for p in pairs if not isinstance(p[0], Cell)]
+    cell_pairs = [p for p in pairs if isinstance(p[0], Cell)]
+    return Candidate(
+        EquivRel.close(obj_pairs, db.objects()),
+        EquivRel.close(cell_pairs, db.cells()),
+    )
+
+
+def _constraints_hold(db, spec, cand, sim) -> bool:
+    """Denial constraints and hard rules, evaluated from scratch."""
+    xdb = extend(db, cand.E, cand.V)
+    if any(dc_violated(dc, xdb, sim) for dc in spec.dcs):
+        return False
+    hard_labels = {r.label for r in spec.hard_rules()}
+    return all(
+        in_merge(cand, p)
+        for p, label in active_entries(db, cand, spec, sim)
+        if label in hard_labels
+    )
+
+
+def solutions_by_subsets(db, spec, sim):
+    """All solutions in canonical order: close every subset of the generator
+    universe, keep the derivable closures, and check each one's constraints
+    and hard rules from scratch.  Exponential in the universe; tiny inputs
+    only."""
+    universe = generator_universe(db, spec, sim)
+    seen = set()
+    out = []
+    for mask in range(1 << len(universe)):
+        cand = _close_subset(db, (universe[i] for i in range(len(universe)) if mask >> i & 1))
+        if cand in seen:
+            continue
+        seen.add(cand)
+        if is_candidate(db, spec, cand, sim) and _constraints_hold(db, spec, cand, sim):
+            out.append(cand)
+    out.sort(key=candidate_key)
+    return tuple(out)

@@ -1,14 +1,17 @@
+import functools
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
+from erx import cli
 from erx.cli import main
 from erx.core import Cell, NULL, obj, tid
 from erx.io import IngestError, SolutionFileError, ingest, load_solution, parse_solution, save_solution, solution_text
 from erx.semantics import Candidate, identity_candidate
 from erx.core import EquivRel, eqrel_close
+from erx.solver import SearchConfig
 from erx.specdsl import parse_spec
 
 from conftest import AUTHORS_ROWS, AUTHORS_SIM, AUTHORS_SPEC, build_authors
@@ -166,6 +169,21 @@ def test_solve_budget_exit(tmp_path):
                                     "--sim-overrides", str(overrides),
                                     "--out", str(tmp_path / "out"), "--pair-budget", "1"])
     assert res.exit_code == 3
+
+
+def test_recognize_state_budget_exit(tmp_path, monkeypatch):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 4 3\n1 2 3 0\n-1 -2 4 0\n2 -3 -4 0\n", encoding="utf-8")
+    out = tmp_path / "g"
+    assert run_cli("gadget", "--kind", "3sat-maxE", "--input", str(cnf),
+                   "--out", str(out)).exit_code == 0
+    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, max_states=100))
+    res = CliRunner().invoke(main, ["recognize", "--spec", str(out / "spec.erx"),
+                                    "--data", str(out / "data"),
+                                    "--solution", str(out / "solution_baseline.txt"),
+                                    "--criterion", "maxEC", "--pair-budget", "32"])
+    assert res.exit_code == 3
+    assert "101 merge states" in res.output
 
 
 def test_solve_num_limits_files(tmp_path):

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erx.core import (
     Cell,
     Database,
     EquivRel,
     Fact,
+    InternedDatabase,
     NULL,
     RelationDecl,
     Sort,
@@ -18,10 +20,12 @@ from erx.core import (
 )
 from erx.gadgets import Cnf3, gen_3sat
 from erx.query import (
+    CompiledQuery,
     Query,
     SimilarityStore,
     UnsafeQueryError,
     dc_body_query,
+    dc_violated,
     eval_boolean,
     eval_query,
     rule_body_query,
@@ -209,3 +213,50 @@ def test_codomain_restriction_matches_unrestricted_search():
             for dc in spec.dcs:
                 q = dc_body_query(dc)
                 assert eval_boolean(q, xdb, store) == boolean_by_unrestricted_search(q, xdb, store)
+
+
+def test_inequality_against_object_constant():
+    spec = parse_spec('schema R(a: obj, b: val).\ndc d1: R[t](x, v), x != "o1".\n')
+    decl = spec.schema["R"]
+    sim = SimilarityStore()
+    for o, violated in (("o1", False), ("o2", True)):
+        db = Database([decl], [Fact(decl, tid("t1"), (obj(o), val("v1")))])
+        xdb = extend(db, EquivRel.identity(db.objects()), EquivRel.identity(db.cells()))
+        assert dc_violated(spec.dcs[0], xdb, sim) is violated
+        compiled = CompiledQuery(dc_body_query(spec.dcs[0]), InternedDatabase(db), sim)
+        assert compiled.holds(InternedDatabase(db).identity_rows()) is violated
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_queries_match_from_scratch_under_merges(seed):
+    # Along a chain of random merges, full compiled evaluation agrees with
+    # eval_query, and for queries without inequality atoms the parent's
+    # answers plus the delta are the child's answers.
+    rng = random.Random(seed)
+    spec, db, sim = random_instance(rng, max_objects=4, max_facts=6,
+                                    restricted=rng.random() < 0.5, extra=True)
+    idb = InternedDatabase(db)
+    bodies = [rule_body_query(r) for r in spec.rules()] + [dc_body_query(d) for d in spec.dcs]
+    compiled = [CompiledQuery(q, idb, sim) for q in bodies]
+    labels = [tuple(range(len(idb.objects))), tuple(range(len(idb.cells)))]
+    rows = idb.identity_rows()
+    for _ in range(5):
+        cells = int(rng.random() < 0.5)
+        if len(labels[cells]) < 2:
+            continue
+        la, lb = sorted(labels[cells][i] for i in rng.sample(range(len(labels[cells])), 2))
+        if la == lb:
+            continue
+        labels[cells] = tuple(la if l == lb else l for l in labels[cells])
+        new_rows, changed = idb.merged_rows(rows, bool(cells), labels[cells], la)
+        xdb = extend(db, EquivRel.from_labels(idb.objects, labels[0]),
+                     EquivRel.from_labels(idb.cells, labels[1]))
+        for q, c in zip(bodies, compiled):
+            answers = c.answers(new_rows)
+            assert answers == {tuple(idb.code(k) for k in t) for t in eval_query(q, xdb, sim)}
+            assert c.holds(new_rows) == eval_boolean(q, xdb, sim)
+            if c.monotone:
+                assert answers == c.answers(rows) | c.answers_delta(new_rows, changed)
+                assert c.holds(new_rows) == (c.holds(rows) or c.holds_delta(new_rows, changed))
+        rows = new_rows

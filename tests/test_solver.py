@@ -1,13 +1,22 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from erx.core import Cell, EquivRel, eqrel_close, obj, tid
-from erx.gadgets import HornInput, gen_horn
-from erx.query import SimilarityStore
-from erx.semantics import Candidate, Criterion, identity_candidate, is_solution
+from erx.core import Cell, EquivRel, eqrel_close, extend, obj, tid
+from erx.gadgets import Cnf3, HornInput, gen_3sat_restricted_max_e, gen_horn
+from erx.query import SimilarityStore, dc_violated
+from erx.semantics import (
+    Candidate,
+    Criterion,
+    active_entries,
+    criterion_sets,
+    identity_candidate,
+    is_solution,
+)
 from erx.solver import (
     BudgetExceededError,
+    DerivationWalk,
     SearchConfig,
     UnsupportedCriterionError,
     UnsupportedSettingError,
@@ -29,7 +38,7 @@ from conftest import (
     build_object_instance,
     merged_texts,
 )
-from oracles import reachable_candidates
+from oracles import reachable_candidates, solutions_by_subsets
 from randgen import random_instance
 
 
@@ -285,8 +294,50 @@ def test_search_methods_agree():
         checked += 1
     for spec, db, sim in fixtures:
         try:
-            derive = enumerate_solutions(db, spec, sim, SearchConfig(method="derive"))
-            subsets = enumerate_solutions(db, spec, sim, SearchConfig(method="subsets"))
+            derive = enumerate_solutions(db, spec, sim)
         except BudgetExceededError:
             continue
-        assert derive == subsets
+        assert derive == solutions_by_subsets(db, spec, sim)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.booleans())
+def test_walk_solutions_match_subset_oracle(seed, restricted):
+    spec, db, sim = random_instance(random.Random(seed), max_objects=4, max_facts=6,
+                                    restricted=restricted)
+    try:
+        sols = enumerate_solutions(db, spec, sim, SearchConfig(pair_budget=9))
+    except BudgetExceededError:
+        assume(False)
+    assert sols == solutions_by_subsets(db, spec, sim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.booleans(), st.booleans())
+def test_walk_incremental_evaluation_matches_from_scratch(seed, restricted, extra):
+    # Every visited state's constraint verdicts, and its active entries
+    # wherever the walk computes them, agree with evaluation from scratch.
+    spec, db, sim = random_instance(random.Random(seed), max_objects=4, max_facts=6,
+                                    restricted=restricted, extra=extra)
+    walk = DerivationWalk(db, spec, sim)
+    for state in walk.states():
+        cand = walk.candidate(state)
+        xdb = extend(db, cand.E, cand.V)
+        assert state.violated == tuple(dc_violated(dc, xdb, sim) for dc in spec.dcs)
+        if state.entries is not None:
+            sets = walk.criterion_sets(cand, state)
+            assert sets == criterion_sets(db, cand, spec, sim)
+            assert sets.supp | sets.viol == active_entries(db, cand, spec, sim)
+        else:
+            assert spec.restricted and any(state.violated)
+
+
+def test_max_states_budget_names_progress():
+    inst = gen_3sat_restricted_max_e(Cnf3(4, ((1, 2, 3), (-1, -2, 4), (2, -3, -4))))
+    cfg = SearchConfig(pair_budget=32, max_states=100)
+    with pytest.raises(BudgetExceededError,
+                       match=r"reached 101 merge states, over the budget of 100; \d+ solution"):
+        enumerate_solutions(inst.db, inst.spec, SimilarityStore(), cfg)

@@ -1,6 +1,8 @@
 import pytest
 
+from erx.core import Sort
 from erx.specdsl import (
+    ConstTerm,
     DenialConstraint,
     NeqAtom,
     ObjectRule,
@@ -209,6 +211,7 @@ def _gadget_spec_texts():
     AUTHORS_SPEC,
     TWO_RULE_CONFLICT["spec"],
     "schema R(a: obj, b: val).\ndc d: R[t](x, v), R[s](y, w), sim(v, w) >= 10, v != w.\n",
+    'schema R(a: obj, b: val).\ndc d1: R[t](x, v), x != "o1", "v2" != v, sim(v, "v3") >= 5.\n',
 ] + _gadget_spec_texts())
 def test_print_parse_round_trip(text):
     spec = parse_spec(text)
@@ -219,6 +222,24 @@ def test_print_parse_round_trip(text):
     assert again.value_rules == spec.value_rules
     assert again.dcs == spec.dcs
     assert print_spec(again) == printed
+
+
+def test_inequality_constants_take_the_compared_sort():
+    spec = parse_spec(
+        'schema R(a: obj, b: val).\n'
+        'dc d1: R[t](x, v), x != "o1", "v2" != v, R[s]("o2", "v3").\n'
+    )
+    _, obj_neq, val_neq, rel = spec.dcs[0].body
+    assert obj_neq.right == ConstTerm("o1", Sort.OBJ)
+    assert val_neq.left == ConstTerm("v2", Sort.VAL)
+    assert rel.args == (ConstTerm("o2", Sort.OBJ), ConstTerm("v3", Sort.VAL))
+
+
+@pytest.mark.parametrize("atom", ['"o1" != "o2"', 't != "t1"'])
+def test_untypable_inequalities_rejected(atom):
+    with pytest.raises(SpecError) as err:
+        parse_spec(f"schema R(a: obj, b: val).\ndc d: R[t](x, v), {atom}.\n")
+    assert "line 2" in str(err.value)
 
 
 def test_restricted_flag_scans_inequalities():
