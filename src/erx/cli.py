@@ -15,7 +15,7 @@ import time
 import click
 
 from . import io as erxio
-from .core import EngineError
+from .core import EngineError, EquivRel
 from .gadgets import (
     gen_3sat,
     gen_3sat_restricted_max_e,
@@ -87,15 +87,11 @@ def main():
               help="Maximum number of optimal solutions to write.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--pair-budget", default=16, show_default=True)
-@click.option("--threads", default=1, show_default=True,
-              help="Reserved for parallel search; evaluation is sequential.")
 @_engine_errors
-def solve(spec_path, data_dir, overrides_path, criterion, num, out_dir, pair_budget, threads):
+def solve(spec_path, data_dir, overrides_path, criterion, num, out_dir, pair_budget):
     """Write up to NUM optimal solutions plus a run report."""
     if num < 1:
         raise click.BadParameter("--num must be positive")
-    if threads < 1:
-        raise click.BadParameter("--threads must be positive")
     t0 = time.perf_counter()
     spec, db, sim = _load_instance(spec_path, data_dir, overrides_path)
     t1 = time.perf_counter()
@@ -207,24 +203,10 @@ def gadget(kind, input_path, out_dir):
 @_engine_errors
 def eval_cmd(solution_path, truth_path):
     """Score a solution's object merges against ground-truth pairs."""
-    from .core import obj
-
-    pairs = []
     with open(solution_path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if parts[0] == "eqv":
-                continue
-            if parts[0] != "eqo" or len(parts) != 3:
-                raise erxio.SolutionFileError(f"line {ln}: cannot parse {line!r}")
-            pairs.append((obj(parts[1]), obj(parts[2])))
+        pairs = [p for _, p in erxio.solution_pairs(fh.read(), cells=False)]
     # close generators so transitive merges count as predictions
     universe = frozenset(c for p in pairs for c in p)
-    from .core import EquivRel
-
     predicted = EquivRel.close(pairs, universe).merged_pairs()
     truth = load_ground_truth(truth_path)
     scores = score_pair_sets(predicted, truth.object_pairs)

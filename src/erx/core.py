@@ -1,15 +1,15 @@
 """Core data model: typed constants, tid-annotated databases, value cells,
 equivalence relations, and set-valued extended databases.
 
-Everything here is immutable after construction, so instances can be shared
-freely across threads; closure and extension are pure functions.
+Everything here is immutable after construction, except that a database
+builds its interned form (`Database.interned`) on first use; closure and
+extension are pure functions.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 
@@ -169,7 +169,8 @@ class Database:
     facts; Cells(D) is the set of (tid, value-position) pairs.
     """
 
-    __slots__ = ("schema", "facts", "_by_tid", "_by_rel", "_objects", "_cells")
+    __slots__ = ("schema", "facts", "_by_tid", "_by_rel", "_objects", "_cells", "_interned",
+                 "__weakref__")
 
     def __init__(self, schema: Iterable[RelationDecl], facts: Iterable[Fact]):
         self.schema: dict[str, RelationDecl] = {}
@@ -198,6 +199,14 @@ class Database:
                     cells.add(Cell(f.tid, i))
         self._objects = frozenset(objects)
         self._cells = frozenset(cells)
+        self._interned = None
+
+    def interned(self) -> "InternedDatabase":
+        """The interned form of this database, which also holds its compiled
+        queries; built on first use and freed with the database."""
+        if self._interned is None:
+            self._interned = InternedDatabase(self)
+        return self._interned
 
     def objects(self) -> frozenset[Constant]:
         return self._objects
@@ -329,35 +338,13 @@ class EquivRel:
         return frozenset(out)
 
     def extend(self, pairs: Iterable[tuple[Element, Element]]) -> "EquivRel":
-        """The closure extended by more pairs; incremental, same result as
-        re-closing all generators together."""
+        """The closure extended by more pairs: the same result as re-closing
+        all generators together."""
         fresh = [(a, b) for a, b in pairs if not self.same(a, b)]
         if not fresh:
             return self
-        groups = [set(c) for c in self._merged_classes]
-        index = {e: i for i, c in enumerate(groups) for e in c}
-        for a, b in fresh:
-            for e in (a, b):
-                if e not in self.universe:
-                    raise DomainError(f"pair member {e!r} not in universe")
-                if e not in index:
-                    groups.append({e})
-                    index[e] = len(groups) - 1
-            ia, ib = index[a], index[b]
-            if ia == ib:
-                continue
-            if len(groups[ia]) < len(groups[ib]):
-                ia, ib = ib, ia
-            for e in groups[ib]:
-                index[e] = ia
-            groups[ia] |= groups[ib]
-            groups[ib].clear()
-        merged = sorted(
-            (frozenset(g) for g in groups if len(g) >= 2),
-            key=lambda c: min(element_key(e) for e in c),
-        )
-        class_of = {e: c for c in merged for e in c}
-        return EquivRel(self.universe, class_of, tuple(merged))
+        spanning = [(min(c, key=element_key), e) for c in self._merged_classes for e in c]
+        return EquivRel.close(spanning + fresh, self.universe)
 
     def is_identity(self) -> bool:
         return not self._merged_classes
@@ -385,77 +372,31 @@ def pair_count(e: EquivRel) -> int:
     return e.pair_count()
 
 
-@dataclass(frozen=True, slots=True)
-class ExtFact:
-    """An original fact with each argument blown up to a set of constants."""
-
-    rel: RelationDecl
-    tid: Constant
-    argsets: tuple[frozenset[Constant], ...]
-    orig: Fact
-    _tid_set: frozenset = field(default=frozenset(), compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_tid_set", frozenset((self.tid,)))
-
-    def set_at(self, pos: int) -> frozenset[Constant]:
-        """Constant set at tid position 0 or argument position 1..k."""
-        if pos == 0:
-            return self._tid_set
-        return self.argsets[pos - 1]
-
-
 class ExtendedDatabase:
     """The database induced by an object merge E and a cell merge V.
 
     An object occurrence is replaced by its E-class; the value in cell (t,i)
     is replaced by the set of values stored in all V-merged cells.  Tid
-    positions stay singletons.
+    positions stay singletons.  `rows` holds this as the compiled query
+    engine reads it (see `InternedDatabase`).
     """
 
-    __slots__ = ("db", "obj_merge", "cell_merge", "facts", "_by_rel")
+    __slots__ = ("db", "obj_merge", "cell_merge", "rows")
 
-    def __init__(self, db: Database, obj_merge: EquivRel, cell_merge: EquivRel,
-                 facts: tuple[ExtFact, ...]):
+    def __init__(self, db: Database, obj_merge: EquivRel, cell_merge: EquivRel, rows: tuple):
         self.db = db
         self.obj_merge = obj_merge
         self.cell_merge = cell_merge
-        self.facts = facts
-        by_rel: dict[str, list[ExtFact]] = {}
-        for f in facts:
-            by_rel.setdefault(f.rel.name, []).append(f)
-        self._by_rel = {name: tuple(fs) for name, fs in by_rel.items()}
-
-    def facts_of(self, rel_name: str) -> tuple[ExtFact, ...]:
-        return self._by_rel.get(rel_name, ())
+        self.rows = rows
 
 
 def extend(db: Database, obj_merge: EquivRel, cell_merge: EquivRel) -> ExtendedDatabase:
-    """Build the extended database induced by the pair of merge relations.
-
-    Memoised on (database identity, partitions): the result is immutable and
-    rebuilt frequently during search.
-    """
+    """Build the extended database induced by the pair of merge relations."""
     if obj_merge.universe != db.objects():
         raise DomainError("object merge universe does not match Obj(D)")
     if cell_merge.universe != db.cells():
         raise DomainError("cell merge universe does not match Cells(D)")
-    return _extend_cached(db, obj_merge, cell_merge)
-
-
-@lru_cache(maxsize=16384)
-def _extend_cached(db: Database, obj_merge: EquivRel, cell_merge: EquivRel) -> ExtendedDatabase:
-    ext_facts = []
-    for f in db.facts:
-        sets = []
-        for i, a in enumerate(f.args, start=1):
-            if a.sort is Sort.OBJ:
-                sets.append(obj_merge.class_of(a))
-            else:
-                cell = Cell(f.tid, i)
-                sets.append(frozenset(db.value_at(c) for c in cell_merge.class_of(cell)))
-        ext_facts.append(ExtFact(f.rel, f.tid, tuple(sets), f))
-    return ExtendedDatabase(db, obj_merge, cell_merge, tuple(ext_facts))
+    return ExtendedDatabase(db, obj_merge, cell_merge, db.interned().rows(obj_merge, cell_merge))
 
 
 class InternedDatabase:
@@ -469,11 +410,14 @@ class InternedDatabase:
     each element is labelled with the least number in its class, so equal
     partitions have equal label tuples.  An extended database is a tuple of
     *rows*, one per fact of `db.facts`; a row holds the code set at the tid
-    position and at each argument position, as `ExtFact.set_at` does.
+    position (a singleton) and at each argument position.
+
+    `queries` maps (query, similarity store) to the query compiled against
+    this database (`query.compiled`), so that nothing is compiled twice.
     """
 
-    __slots__ = ("db", "objects", "cells", "constants", "_codes", "fact_rel",
-                 "facts_of", "orig", "cell_of", "_obj_at", "_cell_at", "_cell_value")
+    __slots__ = ("db", "objects", "cells", "constants", "_codes", "fact_rel", "facts_of",
+                 "orig", "cell_of", "queries", "_identity", "_obj_at", "_cell_at", "_cell_value")
 
     def __init__(self, db: Database):
         self.db = db
@@ -498,6 +442,8 @@ class InternedDatabase:
         self._obj_at = tuple(tuple(occ) for occ in obj_at)
         self._cell_at = tuple(cell_at)
         self._cell_value = tuple(self.orig[fi][pos] for fi, pos in cell_at)
+        self._identity = tuple(tuple(frozenset((k,)) for k in codes) for codes in self.orig)
+        self.queries: dict = {}
 
     def code(self, c: Constant) -> int:
         """The code of a constant, interning it on first sight."""
@@ -508,14 +454,24 @@ class InternedDatabase:
         return k
 
     def identity_rows(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        return tuple(tuple(frozenset((k,)) for k in codes) for codes in self.orig)
+        return self._identity
 
-    def merged_rows(self, rows: tuple, cells: bool, labels: tuple[int, ...], label: int):
-        """The rows after the class `label` of `labels` was formed by a merge,
-        from the rows before it.  Returns the new rows and the indices of
-        the facts whose rows changed, grouped by relation name; every other
-        row is shared with `rows`."""
-        members = [i for i, l in enumerate(labels) if l == label]
+    def rows(self, obj_merge: EquivRel, cell_merge: EquivRel) -> tuple:
+        """The rows of the extended database of the two merges; rows of
+        facts they do not touch are shared with `identity_rows()`."""
+        rows = self._identity
+        for c in obj_merge.merged_classes():
+            rows, _ = self.merged_rows(rows, False, [self._codes[o] for o in c])
+        for c in cell_merge.merged_classes():
+            rows, _ = self.merged_rows(rows, True,
+                                       [self.cell_of[self._codes[x.tid], x.pos] for x in c])
+        return rows
+
+    def merged_rows(self, rows: tuple, cells: bool, members: list[int]):
+        """The rows after the objects (or cells) numbered `members` were
+        merged into one class, from the rows before it.  Returns the new
+        rows and the indices of the facts whose rows changed, grouped by
+        relation name; every other row is shared with `rows`."""
         if cells:
             merged = frozenset(self._cell_value[i] for i in members)
             places = [self._cell_at[i] for i in members]

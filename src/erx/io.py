@@ -124,34 +124,47 @@ def save_solution(path, cand: Candidate):
         fh.write(solution_text(cand))
 
 
-def parse_solution(text: str, db: Database) -> Candidate:
-    obj_pairs: list[tuple[Constant, Constant]] = []
-    cell_pairs: list[tuple[Cell, Cell]] = []
-    objects = db.objects()
-    cells = db.cells()
+def solution_pairs(text: str, cells: bool = True):
+    """Yield (line number, pair) for each generator line of a solution file:
+    a pair of objects for `eqo`, of cells for `eqv`.  With `cells` false,
+    `eqv` lines are skipped unread."""
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
+        if parts[0] == "eqv" and not cells:
+            continue
         if parts[0] == "eqo" and len(parts) == 3:
-            a, b = obj(parts[1]), obj(parts[2])
+            yield ln, (obj(parts[1]), obj(parts[2]))
+        elif parts[0] == "eqv" and len(parts) == 5:
+            try:
+                pair = (Cell(tid(parts[1]), int(parts[2])), Cell(tid(parts[3]), int(parts[4])))
+            except ValueError:
+                raise SolutionFileError(f"line {ln}: positions must be integers") from None
+            yield ln, pair
+        else:
+            raise SolutionFileError(f"line {ln}: cannot parse {line!r}")
+
+
+def parse_solution(text: str, db: Database) -> Candidate:
+    """The candidate a solution file describes, closed over the database's
+    objects and cells, which must contain every pair member."""
+    obj_pairs: list[tuple[Constant, Constant]] = []
+    cell_pairs: list[tuple[Cell, Cell]] = []
+    objects = db.objects()
+    cells = db.cells()
+    for ln, (a, b) in solution_pairs(text):
+        if isinstance(a, Cell):
+            for c in (a, b):
+                if c not in cells:
+                    raise SolutionFileError(f"line {ln}: unknown cell {c!r}")
+            cell_pairs.append((a, b))
+        else:
             for c in (a, b):
                 if c not in objects:
                     raise SolutionFileError(f"line {ln}: unknown object {c.text!r}")
             obj_pairs.append((a, b))
-        elif parts[0] == "eqv" and len(parts) == 5:
-            try:
-                ca = Cell(tid(parts[1]), int(parts[2]))
-                cb = Cell(tid(parts[3]), int(parts[4]))
-            except ValueError:
-                raise SolutionFileError(f"line {ln}: positions must be integers") from None
-            for c in (ca, cb):
-                if c not in cells:
-                    raise SolutionFileError(f"line {ln}: unknown cell {c!r}")
-            cell_pairs.append((ca, cb))
-        else:
-            raise SolutionFileError(f"line {ln}: cannot parse {line!r}")
     return Candidate(
         EquivRel.close(obj_pairs, objects),
         EquivRel.close(cell_pairs, cells),

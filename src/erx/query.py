@@ -18,19 +18,23 @@ occurrence positions in the witnessing facts, which keeps answer sets stable
 under later merges and matches ordinary evaluation when no merges exist.
 Boolean queries (no free variables) realise the set-witness semantics
 directly, so denial-constraint checking is unaffected by the anchoring.
+
+There is one evaluator, `CompiledQuery`, which runs over the interned rows
+of an extended database.  A query is compiled once per database and
+similarity store; `eval_query`, `eval_boolean` and `dc_violated` look the
+compiled form up in the database's interned form (`compiled`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     Constant,
+    Database,
     EngineError,
     ExtendedDatabase,
-    ExtFact,
     InternedDatabase,
     NULL,
     Sort,
@@ -69,14 +73,12 @@ class Query:
         return self._h
 
 
-@lru_cache(maxsize=4096)
 def rule_body_query(rule: ObjectRule | ValueRule) -> Query:
     if isinstance(rule, ObjectRule):
         return Query(rule.head, rule.body)
     return Query(rule.head_tids, rule.body)
 
 
-@lru_cache(maxsize=4096)
 def dc_body_query(dc: DenialConstraint) -> Query:
     return Query((), dc.body)
 
@@ -127,11 +129,6 @@ class SimilarityStore:
 EMPTY_SIM = SimilarityStore()
 
 
-@lru_cache(maxsize=8192)
-def _query_plan(q: Query, db):
-    return _plan(q, db.schema)
-
-
 def _plan(q: Query, schema):
     """Static per-query data: relational atoms, variable occurrence map
     (atom index, position with 0 the tid slot), and the variables whose
@@ -162,130 +159,39 @@ def _plan(q: Query, schema):
     return rel_atoms, occ, strip_vars
 
 
-def _witnesses(q: Query, xdb: ExtendedDatabase) -> Iterator[tuple[list[ExtFact], dict[str, frozenset[Constant]]]]:
-    """Yield (chosen facts, final variable candidate sets) for each witness."""
-    rel_atoms, occ, strip_vars = _query_plan(q, xdb.db)
-    n = len(rel_atoms)
-    chosen: list[ExtFact | None] = [None] * n
-
-    def descend(i: int, inter: dict[str, frozenset[Constant]]):
-        if i == n:
-            final = dict(inter)
-            ok = True
-            for v in strip_vars:
-                stripped = final[v] - {NULL}
-                if not stripped:
-                    ok = False
-                    break
-                final[v] = stripped
-            if ok:
-                yield list(chosen), final
-            return
-        atom = rel_atoms[i]
-        for xf in xdb.facts_of(atom.rel):
-            nxt = dict(inter)
-            good = True
-            for pos in range(0, len(atom.args) + 1):
-                term = atom.tid if pos == 0 else atom.args[pos - 1]
-                s = xf.set_at(pos)
-                if isinstance(term, ConstTerm):
-                    if Constant(term.sort, term.text) not in s:
-                        good = False
-                        break
-                else:
-                    prev = nxt.get(term.name)
-                    merged = s if prev is None else prev & s
-                    if not merged:
-                        good = False
-                        break
-                    nxt[term.name] = merged
-            if good:
-                chosen[i] = xf
-                yield from descend(i + 1, nxt)
-        chosen[i] = None
-
-    yield from descend(0, {})
-
-
-def _term_set(t, inter: dict[str, frozenset[Constant]]) -> frozenset[Constant]:
-    if isinstance(t, ConstTerm):
-        return frozenset((Constant(t.sort, t.text),))
-    return inter[t.name]
-
-
-def _conditions_hold(q: Query, inter: dict[str, frozenset[Constant]], sim: SimilarityStore) -> bool:
-    for atom in q.atoms:
-        if isinstance(atom, NeqAtom):
-            left = _term_set(atom.left, inter) - {NULL}
-            right = _term_set(atom.right, inter) - {NULL}
-            if left & right:
-                return False
-        elif isinstance(atom, SimAtom):
-            left = _term_set(atom.left, inter)
-            right = _term_set(atom.right, inter)
-            if not any(
-                sim.score(a, b) >= atom.threshold
-                for a in left if not is_null(a)
-                for b in right if not is_null(b)
-            ):
-                return False
-    return True
-
-
-def _anchors(name: str, occ: dict[str, list[tuple[int, int]]], chosen: list[ExtFact],
-             inter: dict[str, frozenset[Constant]]) -> frozenset[Constant]:
-    cands = set()
-    for ai, pos in occ[name]:
-        xf = chosen[ai]
-        orig = xf.tid if pos == 0 else xf.orig.args[pos - 1]
-        if orig in inter[name]:
-            cands.add(orig)
-    return frozenset(cands)
+def compiled(q: Query, db: Database, sim: SimilarityStore) -> "CompiledQuery":
+    """The query compiled against the database and similarity store, kept
+    in the database's interned form."""
+    idb = db.interned()
+    c = idb.queries.get((q, sim))
+    if c is None:
+        c = idb.queries[q, sim] = CompiledQuery(q, idb, sim)
+    return c
 
 
 def eval_query(q: Query, xdb: ExtendedDatabase, sim: SimilarityStore = EMPTY_SIM) -> frozenset[tuple[Constant, ...]]:
     """All answer tuples of q over the extended database."""
-    _, occ, _ = _query_plan(q, xdb.db)
-    answers: set[tuple[Constant, ...]] = set()
-    for chosen, inter in _witnesses(q, xdb):
-        if not _conditions_hold(q, inter, sim):
-            continue
-        if not q.free:
-            return frozenset({()})
-        pools = [_anchors(v, occ, chosen, inter) for v in q.free]
-        if any(not pool for pool in pools):
-            continue
-        stack = [()]
-        for pool in pools:
-            stack = [t + (c,) for t in stack for c in pool]
-        answers.update(stack)
-    return frozenset(answers)
+    c = compiled(q, xdb.db, sim)
+    consts = c.idb.constants
+    return frozenset(tuple(consts[k] for k in t) for t in c.answers(xdb.rows))
 
 
 def eval_boolean(q: Query, xdb: ExtendedDatabase, sim: SimilarityStore = EMPTY_SIM) -> bool:
     """True iff the query, read as a Boolean query, is satisfied."""
     if q.free:
         q = Query((), q.atoms)
-    return bool(eval_query(q, xdb, sim))
-
-
-@lru_cache(maxsize=65536)
-def _boolean_cached(q: Query, xdb: ExtendedDatabase, sim: SimilarityStore) -> bool:
-    return eval_boolean(q, xdb, sim)
+    return compiled(q, xdb.db, sim).holds(xdb.rows)
 
 
 def dc_violated(dc: DenialConstraint, xdb: ExtendedDatabase, sim: SimilarityStore) -> bool:
-    """A denial constraint is violated when its body is satisfiable.
-
-    Memoised: extended databases are shared objects (hashed by identity),
-    so the check runs once per constraint and merge state.
-    """
-    return _boolean_cached(dc_body_query(dc), xdb, sim)
+    """A denial constraint is violated when its body is satisfiable."""
+    return eval_boolean(dc_body_query(dc), xdb, sim)
 
 
 class CompiledQuery:
     """A query compiled against an `InternedDatabase` and evaluated over its
-    rows, with the semantics of `eval_query` and `eval_boolean`.
+    rows: `answers` are the answers as codes, and `holds` is the Boolean
+    reading.
 
     Besides full evaluation it applies the delta rule of semi-naive
     evaluation: `holds_delta` and `answers_delta` consider only witnesses
@@ -299,7 +205,7 @@ class CompiledQuery:
         rel_atoms, occ, strip_vars = _plan(q, idb.db.schema)
         var = {name: i for i, name in enumerate(sorted(occ))}
         self.monotone = not any(isinstance(a, NeqAtom) for a in q.atoms)
-        self._idb = idb
+        self.idb = idb
         self._sim = sim
         self._scores: dict[tuple[int, int], int] = {}
         self._null = idb.code(NULL)
@@ -442,8 +348,8 @@ class CompiledQuery:
 
     def _finish(self, env: list, chosen=None) -> bool:
         """Strip null from the multiply-joined value variables, then check
-        the inequality and similarity atoms, as `_witnesses` and
-        `_conditions_hold` do.  Leaves the final candidate sets in env."""
+        the inequality and similarity atoms.  Leaves the final candidate
+        sets in env."""
         null = self._null
         for v in self._strip:
             s = env[v]
@@ -464,7 +370,7 @@ class CompiledQuery:
         return True
 
     def _collector(self, out: set):
-        orig = self._idb.orig
+        orig = self.idb.orig
         free = self._free
 
         def leaf(env, chosen):
@@ -485,6 +391,6 @@ class CompiledQuery:
     def _score(self, a: int, b: int) -> int:
         s = self._scores.get((a, b))
         if s is None:
-            consts = self._idb.constants
+            consts = self.idb.constants
             s = self._scores[a, b] = self._sim.score(consts[a], consts[b])
         return s

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Callable
 
 from .core import (
     Cell,
@@ -41,26 +41,10 @@ def identity_candidate(db: Database) -> Candidate:
     return Candidate(EquivRel.identity(db.objects()), EquivRel.identity(db.cells()))
 
 
-def _check_universes(db: Database, cand: Candidate):
-    if cand.E.universe != db.objects() or cand.V.universe != db.cells():
-        raise DomainError("candidate universes do not match the database")
-
-
 def active_entries(db: Database, cand: Candidate, spec: Specification,
                    sim: SimilarityStore) -> frozenset[ActiveEntry]:
-    """All (pair, rule) entries active over the extended database.
-
-    Memoised: databases, specifications and similarity stores hash by
-    identity, merge relations by partition, and activation is a pure
-    function of the five.
-    """
-    _check_universes(db, cand)
-    return _active_entries(db, cand.E, cand.V, spec, sim)
-
-
-@lru_cache(maxsize=65536)
-def _active_entries(db, e, v, spec, sim) -> frozenset[ActiveEntry]:
-    xdb = extend(db, e, v)
+    """All (pair, rule) entries active over the extended database."""
+    xdb = extend(db, cand.E, cand.V)
     entries: set[ActiveEntry] = set()
     for rule in spec.object_rules:
         for a, b in eval_query(rule_body_query(rule), xdb, sim):
@@ -123,28 +107,50 @@ def criterion_sets_of(cand: Candidate, supp: frozenset[ActiveEntry],
     )
 
 
+def saturate(db: Database, spec: Specification, sim: SimilarityStore, start: Candidate,
+             admit: Callable[[Pair, str], bool]) -> tuple[Candidate, frozenset[ActiveEntry]]:
+    """From `start`, merge every active entry's pair that `admit(pair,
+    label)` accepts, all at once, until no such pair is left unmerged.
+    Returns the fixpoint and its active entries.
+
+    Rule bodies are monotone (inequality atoms belong in denial constraints
+    only), so a pair stays active once it is: batched addition reaches the
+    same states as one-pair-at-a-time derivations.
+    """
+    cur = start
+    while True:
+        entries = active_entries(db, cur, spec, sim)
+        fresh = [p for p, label in entries if not in_merge(cur, p) and admit(p, label)]
+        if not fresh:
+            return cur, entries
+        cur = Candidate(cur.E.extend(p for p in fresh if not isinstance(p[0], Cell)),
+                        cur.V.extend(p for p in fresh if isinstance(p[0], Cell)))
+
+
 def is_candidate(db: Database, spec: Specification, cand: Candidate,
                  sim: SimilarityStore) -> bool:
     """Derivable from the identity merges by repeatedly adding active pairs.
+    Saturating within the equivalence-closed target never leaves it."""
+    if cand.E.universe != db.objects() or cand.V.universe != db.cells():
+        raise DomainError("candidate universes do not match the database")
+    cur, _ = saturate(db, spec, sim, identity_candidate(db), lambda p, _: in_merge(cand, p))
+    return cur == cand
 
-    Saturation restricted to the target: monotonicity of rule bodies makes
-    batched, order-free addition equivalent to one-pair-at-a-time
-    derivations, and closing within an equivalence-closed target never
-    leaves it.
-    """
-    _check_universes(db, cand)
-    cur = identity_candidate(db)
-    while True:
-        add_obj: set[Pair] = set()
-        add_cell: set[Pair] = set()
-        for p, _ in active_entries(db, cur, spec, sim):
-            if not in_merge(cand, p) or in_merge(cur, p):
-                continue
-            (add_cell if isinstance(p[0], Cell) else add_obj).add(p)
-        if not add_obj and not add_cell:
-            break
-        cur = Candidate(cur.E.extend(add_obj), cur.V.extend(add_cell))
-    return cur.E == cand.E and cur.V == cand.V
+
+def first_failure(db: Database, spec: Specification, cand: Candidate, sim: SimilarityStore,
+                  entries: frozenset[ActiveEntry]) -> str | None:
+    """The first denial constraint the candidate violates, else its first
+    unsatisfied hard rule, named; None when there is neither.  `entries`
+    are the candidate's active entries."""
+    xdb = extend(db, cand.E, cand.V)
+    for dc in spec.dcs:
+        if dc_violated(dc, xdb, sim):
+            return f"violates {dc.label}"
+    hard_labels = {r.label for r in spec.hard_rules()}
+    for p, label in sorted(entries, key=lambda e: e[1]):
+        if label in hard_labels and not in_merge(cand, p):
+            return f"unsatisfied hard rule {label}"
+    return None
 
 
 def check_solution(db: Database, spec: Specification, cand: Candidate,
@@ -156,16 +162,8 @@ def check_solution(db: Database, spec: Specification, cand: Candidate,
     """
     if not is_candidate(db, spec, cand, sim):
         return False, "not derivable from the identity merges"
-    xdb = extend(db, cand.E, cand.V)
-    for dc in spec.dcs:
-        if dc_violated(dc, xdb, sim):
-            return False, f"violates {dc.label}"
-    entries = active_entries(db, cand, spec, sim)
-    hard_labels = {r.label for r in spec.hard_rules()}
-    for p, label in sorted(entries, key=lambda e: e[1]):
-        if label in hard_labels and not in_merge(cand, p):
-            return False, f"unsatisfied hard rule {label}"
-    return True, None
+    reason = first_failure(db, spec, cand, sim, active_entries(db, cand, spec, sim))
+    return reason is None, reason
 
 
 def is_solution(db: Database, spec: Specification, cand: Candidate,

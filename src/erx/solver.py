@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Cell, Database, DomainError, EngineError, EquivRel, InternedDatabase, element_key
-from .query import CompiledQuery, SimilarityStore, dc_body_query, rule_body_query
+from .core import Database, DomainError, EngineError, EquivRel, element_key
+from .query import SimilarityStore, compiled, dc_body_query, rule_body_query
 from .semantics import (
     ALL_CRITERIA,
     CARD_CRITERIA,
@@ -16,12 +16,12 @@ from .semantics import (
     Criterion,
     CriterionSets,
     Pair,
-    active_entries,
     criterion_sets,
     criterion_sets_of,
+    first_failure,
     identity_candidate,
-    in_merge,
     is_solution,
+    saturate,
     strictly_better,
 )
 from .specdsl import ObjectRule, Specification
@@ -80,18 +80,8 @@ def generator_universe(db: Database, spec: Specification,
                        sim: SimilarityStore) -> tuple[Pair, ...]:
     """Every pair that can appear in any candidate: saturate from identity,
     adding all active pairs (constraints ignored), and collect them."""
-    cur = identity_candidate(db)
-    collected: set[Pair] = set()
-    while True:
-        fresh = {p for p, _ in active_entries(db, cur, spec, sim)} - collected
-        if not fresh:
-            break
-        collected |= fresh
-        cur = Candidate(
-            cur.E.extend(p for p in collected if not isinstance(p[0], Cell)),
-            cur.V.extend(p for p in collected if isinstance(p[0], Cell)),
-        )
-    return tuple(sorted(collected, key=_pair_sort_key))
+    _, entries = saturate(db, spec, sim, identity_candidate(db), lambda p, label: True)
+    return tuple(sorted({p for p, _ in entries}, key=_pair_sort_key))
 
 
 class WalkState:
@@ -101,18 +91,16 @@ class WalkState:
     extended database (see `InternedDatabase`).  `violated` holds one
     verdict per denial constraint.  Active entries are (cells, a, b, rule):
     `a < b` number two objects when `cells` is 0 and two cells when it is
-    1, so `labels[cells]` labels them.  `mono` holds the entries of rules
-    without inequality atoms.  Both are None for a state the walk will not
-    expand and that cannot be a solution.
+    1, so `labels[cells]` labels them.  They are None for a state the walk
+    will not expand and that cannot be a solution.
     """
 
-    __slots__ = ("labels", "rows", "violated", "mono", "entries", "solution")
+    __slots__ = ("labels", "rows", "violated", "entries", "solution")
 
-    def __init__(self, labels, rows, violated, mono, entries, solution):
+    def __init__(self, labels, rows, violated, entries, solution):
         self.labels = labels
         self.rows = rows
         self.violated = violated
-        self.mono = mono
         self.entries = entries
         self.solution = solution
 
@@ -129,26 +117,28 @@ class DerivationWalk:
       * a constraint without inequality atoms stays violated once it is,
         and otherwise becomes violated only through a witness that picks a
         changed fact;
-      * a rule without inequality atoms keeps its parent's entries and
-        gains those witnessed through a changed fact.
+      * a rule keeps its parent's entries and gains those witnessed through
+        a changed fact (rule bodies have no inequality atoms).
 
-    Constraints and rules with inequality atoms are evaluated in full.  In
-    the restricted setting every constraint is monotone, so a violating
-    state cannot lead to a solution (its derivation prefixes lie below any
-    solution and are violation-free) and is not expanded.
+    Constraints with inequality atoms are evaluated in full.  In the
+    restricted setting every constraint is monotone, so a violating state
+    cannot lead to a solution (its derivation prefixes lie below any
+    solution and are violation-free) and is not expanded.  The interned
+    database and compiled queries are the database's own
+    (`Database.interned`).
     """
 
     def __init__(self, db: Database, spec: Specification, sim: SimilarityStore):
-        self.idb = idb = InternedDatabase(db)
+        self.idb = db.interned()
         rules = spec.rules()
         self._rule_labels = tuple(r.label for r in rules)
         self._hard = tuple(r.hard for r in rules)
         self._rules = tuple(
-            (k, CompiledQuery(rule_body_query(r), idb, sim),
+            (k, compiled(rule_body_query(r), db, sim),
              None if isinstance(r, ObjectRule) else r.head_pos)
             for k, r in enumerate(rules)
         )
-        self._dcs = tuple(CompiledQuery(dc_body_query(dc), idb, sim) for dc in spec.dcs)
+        self._dcs = tuple(compiled(dc_body_query(dc), db, sim) for dc in spec.dcs)
         self._prune = spec.restricted and bool(spec.dcs)
 
     def states(self, max_states: int = DEFAULT_CONFIG.max_states):
@@ -177,35 +167,33 @@ class DerivationWalk:
                         f"the derivation walk reached {len(seen)} merge states, over the "
                         f"budget of {max_states}; {found} solution(s) found so far"
                     )
-                rows, changed = idb.merged_rows(cur.rows, cells, labels, la)
+                members = [i for i, l in enumerate(labels) if l == la]
+                rows, changed = idb.merged_rows(cur.rows, cells, members)
                 violated = tuple(
                     (cur.violated[k] or q.holds_delta(rows, changed)) if q.monotone
                     else q.holds(rows)
                     for k, q in enumerate(self._dcs)
                 )
-                nxt = self._state(key, rows, violated, cur.mono, changed)
+                nxt = self._state(key, rows, violated, cur.entries, changed)
                 found += nxt.solution
                 stack.append(nxt)
                 yield nxt
 
-    def _state(self, key, rows, violated, mono, changed) -> WalkState:
+    def _state(self, key, rows, violated, entries, changed) -> WalkState:
         if self._prune and any(violated):
-            return WalkState(key, rows, violated, None, None, False)
-        if mono is None:
-            mono = frozenset(e for k, q, head in self._rules if q.monotone
-                             for e in self._entries(k, head, q.answers(rows)))
+            return WalkState(key, rows, violated, None, False)
+        if entries is None:
+            entries = frozenset(e for k, q, head in self._rules
+                                for e in self._entries(k, head, q.answers(rows)))
         else:
-            delta = [e for k, q, head in self._rules if q.monotone
+            delta = [e for k, q, head in self._rules
                      for e in self._entries(k, head, q.answers_delta(rows, changed))]
             if delta:
-                mono = mono.union(delta)
-        full = [e for k, q, head in self._rules if not q.monotone
-                for e in self._entries(k, head, q.answers(rows))]
-        entries = mono.union(full) if full else mono
+                entries = entries.union(delta)
         solution = not any(violated) and all(
             key[cells][a] == key[cells][b] for cells, a, b, k in entries if self._hard[k]
         )
-        return WalkState(key, rows, violated, mono, entries, solution)
+        return WalkState(key, rows, violated, entries, solution)
 
     def _entries(self, k: int, head_pos, answers):
         """Active entries of rule k from its body's answers."""
@@ -331,9 +319,11 @@ def recognize_optimal_restricted(db: Database, spec: Specification, cand: Candid
     newly absent (active but unmerged, and not absent originally) are added;
     under minVS the same with (pair, rule) violation entries.  The input is
     not optimal exactly when some saturation lands on a solution, which then
-    witnesses a strictly better absent/violation/merge set.  Once a
-    constraint breaks along the way no extension can repair it, which is
-    what makes the local search complete.
+    witnesses a strictly better absent/violation/merge set.  A saturation
+    adds only active pairs to a solution, so it lands on a candidate and
+    only its constraints and hard rules need checking.  Once a constraint
+    breaks along the way no extension can repair it, which is what makes
+    the local search complete.
     """
     if not spec.restricted:
         raise UnsupportedSettingError("denial constraints use inequality atoms")
@@ -349,28 +339,12 @@ def recognize_optimal_restricted(db: Database, spec: Specification, cand: Candid
     base = criterion_sets(db, cand, spec, sim)
     hard_labels = {r.label for r in spec.hard_rules()}
     for seed in sorted(base.absent, key=_pair_sort_key):
-        cur = _extend_candidate(cand, [seed])
-        while True:
-            additions = set()
-            for p, label in active_entries(db, cur, spec, sim):
-                if in_merge(cur, p):
-                    continue
-                if label in hard_labels:
-                    additions.add(p)
-                elif criterion is Criterion.MIN_AS and p not in base.absent:
-                    additions.add(p)
-                elif criterion is Criterion.MIN_VS and (p, label) not in base.viol:
-                    additions.add(p)
-            if not additions:
-                break
-            cur = _extend_candidate(cur, additions)
-        if is_solution(db, spec, cur, sim):
+        def admit(p, label):
+            return (p == seed or label in hard_labels
+                    or (criterion is Criterion.MIN_AS and p not in base.absent)
+                    or (criterion is Criterion.MIN_VS and (p, label) not in base.viol))
+
+        cur, entries = saturate(db, spec, sim, cand, admit)
+        if first_failure(db, spec, cur, sim, entries) is None:
             return RecognitionResult(False, cur)
     return RecognitionResult(True, None)
-
-
-def _extend_candidate(cand: Candidate, pairs) -> Candidate:
-    pairs = list(pairs)
-    obj_pairs = [p for p in pairs if not isinstance(p[0], Cell)]
-    cell_pairs = [p for p in pairs if isinstance(p[0], Cell)]
-    return Candidate(cand.E.extend(obj_pairs), cand.V.extend(cell_pairs))

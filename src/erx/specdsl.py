@@ -14,7 +14,8 @@ Tid variables go in brackets after the relation name and may be omitted (a
 fresh one is invented).  `_` is an anonymous fresh variable.  Quoted strings
 are constants; they may not appear as head arguments.  Any variable not in a
 rule head is existential.  Cell references in `EqV` heads are `tidvar.pos`
-with 1-based positions.
+with 1-based positions.  Inequality atoms may appear in denial constraints
+only, so every rule body is monotone under merges.
 """
 from __future__ import annotations
 
@@ -110,12 +111,19 @@ Rule = Union[ObjectRule, ValueRule]
 @dataclass(frozen=True, eq=False)
 class Specification:
     """Compared and hashed by identity: a specification is parsed once and
-    passed around, which lets evaluation results be memoised against it."""
+    passed around.  Rule bodies must be free of inequality atoms, which
+    keeps them monotone under merges; the evaluation and search rely on
+    that."""
 
     schema: dict[str, RelationDecl] = field(default_factory=dict)
     object_rules: tuple[ObjectRule, ...] = ()
     value_rules: tuple[ValueRule, ...] = ()
     dcs: tuple[DenialConstraint, ...] = ()
+
+    def __post_init__(self):
+        for rule in self.rules():
+            if any(isinstance(a, NeqAtom) for a in rule.body):
+                raise SpecError(f"{rule.label}: inequality atoms belong in denial constraints only")
 
     @property
     def restricted(self) -> bool:
@@ -237,7 +245,7 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
             return Var(tok.text)
         raise SpecError(f"expected a term, got {tok.text!r}", tok.line, tok.col)
 
-    def parse_body() -> tuple[Atom, ...]:
+    def parse_body(rule: bool) -> tuple[Atom, ...]:
         atoms: list[Atom] = []
         neq_toks: list[_Tok] = []
         while True:
@@ -288,6 +296,9 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
                 op = p.next()
                 if op.text != "!=":
                     raise SpecError(f"expected an atom, got {tok.text!r}", tok.line, tok.col)
+                if rule:
+                    raise SpecError("inequality atoms belong in denial constraints only",
+                                    op.line, op.col)
                 b = parse_term(p.next())
                 atoms.append(NeqAtom(a, b))
                 neq_toks.append(op)
@@ -330,7 +341,7 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
             raise SpecError("rule kind must be obj or val", kind_tok.line, kind_tok.col)
         label = p.expect_name().text
         p.expect(":")
-        body = parse_body()
+        body = parse_body(rule=True)
         p.expect("=>")
         head_tok = p.expect_name()
         if kind_tok.text == "obj":
@@ -365,7 +376,7 @@ def parse_spec(text: str, schema: dict[str, RelationDecl] | None = None) -> Spec
     def parse_dc_stmt():
         label = p.expect_name().text
         p.expect(":")
-        body = parse_body()
+        body = parse_body(rule=False)
         p.expect(".")
         dcs.append(DenialConstraint(label, body))
 

@@ -14,6 +14,19 @@ soft val s2: Awarded[t1](a, z), Awarded[t2](a, w), sim(z, w) >= 95 => EqV(t1.2, 
 dc d1: Author[t1](a, n1, _, _), Author[t2](a, n2, _, _), n1 != n2.
 """
 
+# Rules r0 and r2 compare objects with `!=`.  Saturating active pairs in
+# batches (`is_candidate`) and the one-pair derivation walk disagreed on
+# such rules, so rule bodies may not hold inequality atoms.
+NEQ_RULE_SPEC = """\
+schema P(ent: obj, attr: val).
+schema Q(ent: obj).
+soft obj r1: P[t1](x, a), P[t2](y, b), sim(a, b) >= 80 => EqO(x, y).
+soft val r0: P[t1](x, a), P[t2](y, b), x != y, sim(a, b) >= 40 => EqV(t1.2, t2.2).
+hard val r2: P[t1](x, a), P[t2](y, b), x != y, sim(a, b) >= 40 => EqV(t1.2, t2.2).
+dc d0: Q[t1](x), P[t2](x, a), P[t3](x, b), sim(a, b) >= 60.
+dc d1: Q[t1](x), P[t2](x, a), P[t3](y, "v1"), sim(a, "v3") >= 80.
+"""
+
 AUTHORS_ROWS = {
     "Author": [
         ("t1", "a1", "A. Turing", "23/07/1912", "London"),

@@ -3,21 +3,25 @@
 Everything here is deliberately naive and kept separate from the package:
 closure by repeated pairwise saturation, recursive edit distance, a direct
 transcription of Jaro-Winkler, dense TF-IDF vectors, substitution-based
-conjunctive-query evaluation, unrestricted witness search, depth-first
-exploration of one-pair-at-a-time derivations, and solution enumeration by
-closing every subset of the generator universe.
+conjunctive-query evaluation, the set-witness interpreter over extended
+facts built from the merge relations, unrestricted witness search,
+depth-first exploration of one-pair-at-a-time derivations, and solution
+enumeration by closing every subset of the generator universe.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
-from erx.core import Cell, EquivRel, NULL, Sort, extend, is_null
-from erx.query import SimilarityStore, dc_violated
-from erx.semantics import Candidate, active_entries, identity_candidate, in_merge, is_candidate
-from erx.solver import candidate_key, generator_universe
-from erx.specdsl import ConstTerm, NeqAtom, RelAtom, SimAtom, TidVar, Var
+from erx.core import (Cell, Constant, EquivRel, Fact, NULL, RelationDecl, Sort, element_key,
+                      is_null, norm_pair)
+from erx.query import Query, SimilarityStore, UnsafeQueryError, dc_body_query, rule_body_query
+from erx.semantics import Candidate, identity_candidate, in_merge
+from erx.solver import candidate_key
+from erx.specdsl import ConstTerm, NeqAtom, RelAtom, SimAtom, TidVar, ValueRule, Var
 
 
 def close_by_saturation(pairs, universe):
@@ -157,6 +161,206 @@ def naive_identity_answers(q, db, sim: SimilarityStore):
     return frozenset(answers)
 
 
+@dataclass(frozen=True)
+class ExtFact:
+    """An original fact with each argument blown up to a set of constants."""
+
+    rel: RelationDecl
+    tid: Constant
+    argsets: tuple[frozenset[Constant], ...]
+    orig: Fact
+
+    def set_at(self, pos: int) -> frozenset[Constant]:
+        """Constant set at tid position 0 or argument position 1..k."""
+        return frozenset((self.tid,)) if pos == 0 else self.argsets[pos - 1]
+
+
+def reference_facts(xdb, rel_name):
+    """The extended facts of one relation of an extended database, built
+    from its merge relations class by class."""
+    db, e, v = xdb.db, xdb.obj_merge, xdb.cell_merge
+    out = []
+    for f in db.facts_of(rel_name):
+        sets = []
+        for i, a in enumerate(f.args, start=1):
+            if a.sort is Sort.OBJ:
+                sets.append(e.class_of(a))
+            else:
+                sets.append(frozenset(db.value_at(c) for c in v.class_of(Cell(f.tid, i))))
+        out.append(ExtFact(f.rel, f.tid, tuple(sets), f))
+    return out
+
+
+def _reference_plan(q, schema):
+    """Relational atoms, variable occurrences (atom index, position with 0
+    the tid slot), the value variables joined at two or more positions,
+    and the safety check."""
+    rel_atoms = tuple(a for a in q.atoms if isinstance(a, RelAtom))
+    occ: dict[str, list[tuple[int, int]]] = {}
+    counts: dict[str, int] = {}
+    for ai, atom in enumerate(rel_atoms):
+        decl = schema[atom.rel]
+        occ.setdefault(atom.tid.name, []).append((ai, 0))
+        for pos, term in enumerate(atom.args, start=1):
+            if isinstance(term, (Var, TidVar)):
+                occ.setdefault(term.name, []).append((ai, pos))
+                if decl.type_vec[pos - 1] is Sort.VAL:
+                    counts[term.name] = counts.get(term.name, 0) + 1
+    used = set(occ) | set(q.free) | {
+        t.name for a in q.atoms if isinstance(a, (SimAtom, NeqAtom))
+        for t in (a.left, a.right) if isinstance(t, (Var, TidVar))
+    }
+    for name in sorted(used):
+        if name not in occ:
+            raise UnsafeQueryError(f"variable {name!r} occurs in no relational atom")
+    return rel_atoms, occ, frozenset(v for v, n in counts.items() if n >= 2)
+
+
+def _reference_witnesses(q, xdb, rel_atoms, strip_vars):
+    """Yield (chosen facts, final variable candidate sets) for each witness."""
+    facts = {atom.rel: reference_facts(xdb, atom.rel) for atom in rel_atoms}
+    n = len(rel_atoms)
+    chosen = [None] * n
+
+    def descend(i, inter):
+        if i == n:
+            final = dict(inter)
+            for v in strip_vars:
+                final[v] = final[v] - {NULL}
+                if not final[v]:
+                    return
+            yield list(chosen), final
+            return
+        atom = rel_atoms[i]
+        for xf in facts[atom.rel]:
+            nxt = dict(inter)
+            good = True
+            for pos in range(len(atom.args) + 1):
+                term = atom.tid if pos == 0 else atom.args[pos - 1]
+                s = xf.set_at(pos)
+                if isinstance(term, ConstTerm):
+                    good = Constant(term.sort, term.text) in s
+                else:
+                    prev = nxt.get(term.name)
+                    nxt[term.name] = s if prev is None else prev & s
+                    good = bool(nxt[term.name])
+                if not good:
+                    break
+            if good:
+                chosen[i] = xf
+                yield from descend(i + 1, nxt)
+        chosen[i] = None
+
+    yield from descend(0, {})
+
+
+def _reference_term_set(t, inter):
+    if isinstance(t, ConstTerm):
+        return frozenset((Constant(t.sort, t.text),))
+    return inter[t.name]
+
+
+def _reference_conditions_hold(q, inter, sim):
+    for atom in q.atoms:
+        if isinstance(atom, NeqAtom):
+            left = _reference_term_set(atom.left, inter) - {NULL}
+            right = _reference_term_set(atom.right, inter) - {NULL}
+            if left & right:
+                return False
+        elif isinstance(atom, SimAtom):
+            left = _reference_term_set(atom.left, inter)
+            right = _reference_term_set(atom.right, inter)
+            if not any(sim.score(a, b) >= atom.threshold
+                       for a in left if not is_null(a) for b in right if not is_null(b)):
+                return False
+    return True
+
+
+def _reference_anchors(name, occ, chosen, inter):
+    """The original constants at the variable's occurrences that survive in
+    its candidate set."""
+    out = set()
+    for ai, pos in occ[name]:
+        xf = chosen[ai]
+        orig = xf.tid if pos == 0 else xf.orig.args[pos - 1]
+        if orig in inter[name]:
+            out.add(orig)
+    return out
+
+
+def reference_eval_query(q, xdb, sim: SimilarityStore):
+    """The set-witness interpreter: all answer tuples of q over the extended
+    database, evaluated from its merge relations."""
+    rel_atoms, occ, strip_vars = _reference_plan(q, xdb.db.schema)
+    answers = set()
+    for chosen, inter in _reference_witnesses(q, xdb, rel_atoms, strip_vars):
+        if not _reference_conditions_hold(q, inter, sim):
+            continue
+        if not q.free:
+            return frozenset({()})
+        answers.update(itertools.product(*(_reference_anchors(v, occ, chosen, inter)
+                                           for v in q.free)))
+    return frozenset(answers)
+
+
+def reference_eval_boolean(q, xdb, sim: SimilarityStore) -> bool:
+    return bool(reference_eval_query(Query((), q.atoms), xdb, sim))
+
+
+def _reference_extension(db, cand):
+    """What the reference interpreter reads of an extended database."""
+    return SimpleNamespace(db=db, obj_merge=cand.E, cell_merge=cand.V)
+
+
+def reference_active_entries(db, cand, spec, sim: SimilarityStore):
+    """`semantics.active_entries` through the reference interpreter."""
+    xdb = _reference_extension(db, cand)
+    entries = set()
+    for rule in spec.rules():
+        for a, b in reference_eval_query(rule_body_query(rule), xdb, sim):
+            if isinstance(rule, ValueRule):
+                a, b = Cell(a, rule.head_pos[0]), Cell(b, rule.head_pos[1])
+            if a != b:
+                entries.add((norm_pair(a, b), rule.label))
+    return frozenset(entries)
+
+
+def _reference_saturate(db, admit, entries_of):
+    """From the identity merges, add every active pair that `admit` accepts
+    until none is left unmerged; the fixpoint and its active entries.
+    `entries_of` memoises `reference_active_entries` for one instance."""
+    cur = identity_candidate(db)
+    while True:
+        entries = entries_of(cur)
+        fresh = [p for p, _ in entries if not in_merge(cur, p) and admit(p)]
+        if not fresh:
+            return cur, entries
+        cur = _close_subset(db, list(cur.E.merged_pairs()) + list(cur.V.merged_pairs()) + fresh)
+
+
+def _reference_entries_memo(db, spec, sim):
+    memo = {}
+
+    def entries_of(cand):
+        if cand not in memo:
+            memo[cand] = reference_active_entries(db, cand, spec, sim)
+        return memo[cand]
+    return entries_of
+
+
+def reference_is_solution(db, spec, cand, sim, entries_of=None) -> bool:
+    """Derivable from the identity merges, no denial constraint violated
+    and every hard rule satisfied, all through the reference interpreter."""
+    entries_of = entries_of or _reference_entries_memo(db, spec, sim)
+    if _reference_saturate(db, lambda p: in_merge(cand, p), entries_of)[0] != cand:
+        return False
+    xdb = _reference_extension(db, cand)
+    if any(reference_eval_boolean(dc_body_query(dc), xdb, sim) for dc in spec.dcs):
+        return False
+    hard_labels = {r.label for r in spec.hard_rules()}
+    return all(in_merge(cand, p) for p, label in entries_of(cand) if label in hard_labels)
+
+
 def boolean_by_unrestricted_search(q, xdb, sim: SimilarityStore) -> bool:
     """Witness search with per-atom set vectors drawn from all subsets of
     the constants of the database, filtered only by the witness conditions
@@ -172,7 +376,7 @@ def boolean_by_unrestricted_search(q, xdb, sim: SimilarityStore) -> bool:
     per_atom_vectors = []
     for atom in rel_atoms:
         ext_shapes = {
-            tuple([xf.set_at(0)] + list(xf.argsets)) for xf in xdb.facts_of(atom.rel)
+            tuple([xf.set_at(0)] + list(xf.argsets)) for xf in reference_facts(xdb, atom.rel)
         }
         good = []
         for vec in itertools.product(subsets, repeat=len(atom.args) + 1):
@@ -244,7 +448,8 @@ def boolean_by_unrestricted_search(q, xdb, sim: SimilarityStore) -> bool:
 
 
 def reachable_candidates(db, spec, sim, cap=5000):
-    """All candidates reachable by one-active-pair-at-a-time derivations."""
+    """All candidates reachable by one-active-pair-at-a-time derivations,
+    with active pairs from the reference interpreter."""
     start = identity_candidate(db)
     seen = {start}
     stack = [start]
@@ -252,7 +457,7 @@ def reachable_candidates(db, spec, sim, cap=5000):
         if len(seen) > cap:
             raise RuntimeError("candidate space larger than the oracle cap")
         cur = stack.pop()
-        for p, _ in active_entries(db, cur, spec, sim):
+        for p, _ in reference_active_entries(db, cur, spec, sim):
             if in_merge(cur, p):
                 continue
             if isinstance(p[0], Cell):
@@ -284,25 +489,15 @@ def _close_subset(db, pairs) -> Candidate:
     )
 
 
-def _constraints_hold(db, spec, cand, sim) -> bool:
-    """Denial constraints and hard rules, evaluated from scratch."""
-    xdb = extend(db, cand.E, cand.V)
-    if any(dc_violated(dc, xdb, sim) for dc in spec.dcs):
-        return False
-    hard_labels = {r.label for r in spec.hard_rules()}
-    return all(
-        in_merge(cand, p)
-        for p, label in active_entries(db, cand, spec, sim)
-        if label in hard_labels
-    )
-
-
 def solutions_by_subsets(db, spec, sim):
     """All solutions in canonical order: close every subset of the generator
-    universe, keep the derivable closures, and check each one's constraints
-    and hard rules from scratch.  Exponential in the universe; tiny inputs
-    only."""
-    universe = generator_universe(db, spec, sim)
+    universe (saturated from the identity with every active pair) and keep
+    the closures that pass the reference solution check.  Everything is
+    evaluated by the reference interpreter.  Exponential in the universe;
+    tiny inputs only."""
+    entries_of = _reference_entries_memo(db, spec, sim)
+    _, entries = _reference_saturate(db, lambda p: True, entries_of)
+    universe = sorted({p for p, _ in entries}, key=lambda p: element_key(p[0]) + element_key(p[1]))
     seen = set()
     out = []
     for mask in range(1 << len(universe)):
@@ -310,7 +505,7 @@ def solutions_by_subsets(db, spec, sim):
         if cand in seen:
             continue
         seen.add(cand)
-        if is_candidate(db, spec, cand, sim) and _constraints_hold(db, spec, cand, sim):
+        if reference_is_solution(db, spec, cand, sim, entries_of):
             out.append(cand)
     out.sort(key=candidate_key)
     return tuple(out)

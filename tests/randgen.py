@@ -21,12 +21,11 @@ VAL_RULES = [
     "{kind} val {lbl}: P[t1](x, a), P[t2](x, b) => EqV(t1.2, t2.2).",
     "{kind} val {lbl}: P[t1](x, a), P[t2](y, b), sim(a, b) >= 80 => EqV(t1.2, t2.2).",
 ]
-# Rules with inequality atoms, and rules and constraints whose witnesses
-# have no mirror image: a merge can add a witness through one atom only,
-# which exercises each join order of the derivation walk's delta rule.
+# Rules and constraints whose witnesses have no mirror image: a merge can
+# add a witness through one atom only, which exercises each join order of
+# the derivation walk's delta rule.  Inequality atoms belong in constraints
+# only (EXTRA_DCS, NEQ_DCS).
 EXTRA_RULES = [
-    '{kind} obj {lbl}: P[t1](x, a), P[t2](y, b), a != b, x != "o1" => EqO(x, y).',
-    "{kind} val {lbl}: P[t1](x, a), P[t2](y, b), x != y, sim(a, b) >= 40 => EqV(t1.2, t2.2).",
     '{kind} obj {lbl}: Q[t1](y), P[t2](x, "v2") => EqO(x, y).',
     "{kind} val {lbl}: P[t1](x, a), Q[t2](x), P[t3](y, a) => EqV(t1.2, t3.2).",
 ]
@@ -44,6 +43,11 @@ NEQ_DCS = [
     "dc {lbl}: P[t1](x, a), P[t2](x, b), a != b.",
     "dc {lbl}: P[t1](x, a), Q[t2](y), x != y.",
 ]
+# An inequality against a typed object constant, drawn with `extra` in the
+# unrestricted setting.
+EXTRA_NEQ_DCS = [
+    'dc {lbl}: P[t1](x, a), P[t2](y, b), a != b, x != "o1".',
+]
 
 VALS = ["v1", "v2", "v3"]
 
@@ -52,14 +56,17 @@ def random_instance(rng: random.Random, max_objects=6, max_rules=3, max_dcs=2,
                     restricted=True, allow_nulls=True, extra=False, max_facts=4):
     """A two-relation instance: P(ent: obj, attr: val) rows give the cells,
     Q(ent: obj) rows feed constraints and extra rules.  `extra` adds
-    EXTRA_RULES and EXTRA_DCS to the pools; `max_facts` bounds the P rows."""
+    EXTRA_RULES, EXTRA_DCS and (unrestricted) EXTRA_NEQ_DCS to the pools;
+    `max_facts` bounds the P rows."""
     objs = [f"o{i}" for i in range(1, rng.randint(2, max_objects) + 1)]
     lines = ["schema P(ent: obj, attr: val).", "schema Q(ent: obj)."]
     rule_pool = OBJ_RULES + VAL_RULES + (EXTRA_RULES if extra else [])
     for i in range(rng.randint(1, max_rules)):
         kind = rng.choice(["soft", "soft", "hard"])
         lines.append(rng.choice(rule_pool).format(kind=kind, lbl=f"r{i}"))
-    dc_pool = PLAIN_DCS + (EXTRA_DCS if extra else []) + ([] if restricted else NEQ_DCS)
+    dc_pool = PLAIN_DCS + (EXTRA_DCS if extra else [])
+    if not restricted:
+        dc_pool += NEQ_DCS + (EXTRA_NEQ_DCS if extra else [])
     for i in range(rng.randint(0, max_dcs)):
         lines.append(rng.choice(dc_pool).format(lbl=f"d{i}"))
     spec = parse_spec("\n".join(lines))

@@ -1,20 +1,25 @@
 import functools
+import gc
 import json
 import os
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
 from erx import cli
+from erx import io as erxio
 from erx.cli import main
 from erx.core import Cell, NULL, obj, tid
 from erx.io import IngestError, SolutionFileError, ingest, load_solution, parse_solution, save_solution, solution_text
-from erx.semantics import Candidate, identity_candidate
+from erx.gadgets import HornInput, gen_horn
+from erx.query import SimilarityStore
+from erx.semantics import Candidate, Criterion, identity_candidate
 from erx.core import EquivRel, eqrel_close
-from erx.solver import SearchConfig
+from erx.solver import SearchConfig, recognize_many, recognize_optimal_restricted
 from erx.specdsl import parse_spec
 
-from conftest import AUTHORS_ROWS, AUTHORS_SIM, AUTHORS_SPEC, build_authors
+from conftest import AUTHORS_ROWS, AUTHORS_SIM, AUTHORS_SPEC, NEQ_RULE_SPEC, build_authors
 
 
 def write_authors_dataset(root):
@@ -186,6 +191,51 @@ def test_recognize_state_budget_exit(tmp_path, monkeypatch):
     assert "101 merge states" in res.output
 
 
+def test_solve_rejects_inequality_in_rule_body(tmp_path):
+    spec_path = tmp_path / "spec.erx"
+    spec_path.write_text(NEQ_RULE_SPEC, encoding="utf-8")
+    (tmp_path / "data").mkdir()
+    res = CliRunner().invoke(main, ["solve", "--spec", str(spec_path),
+                                    "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "denial constraints only (line 4, col 42)" in res.output
+
+
+def test_runs_keep_no_database_alive(tmp_path, monkeypatch):
+    # The interned form and compiled queries hang off the database itself,
+    # so once a run returns nothing else refers to the database.
+    def restricted():
+        inst = gen_horn(HornInput(("x1", "x2"), ("x1",), (("x1", "x1", "x2"),), "x2"))
+        recognize_optimal_restricted(inst.db, inst.spec, inst.candidate, Criterion.MIN_AS,
+                                     SimilarityStore())
+        return weakref.ref(inst.db)
+
+    def brute():
+        spec, db, sim = build_authors()
+        recognize_many(db, spec, identity_candidate(db), sim=sim)
+        return weakref.ref(db)
+
+    def solve():
+        spec_path, data, overrides = write_authors_dataset(tmp_path)
+        refs = []
+        ingest_db = erxio.ingest
+
+        def ingest_and_watch(*args):
+            db = ingest_db(*args)
+            refs.append(weakref.ref(db))
+            return db
+
+        monkeypatch.setattr(erxio, "ingest", ingest_and_watch)
+        cli.main(["solve", "--spec", str(spec_path), "--data", str(data), "--sim-overrides",
+                  str(overrides), "--out", str(tmp_path / "out")], standalone_mode=False)
+        return refs[0]
+
+    for run in (restricted, brute, solve):
+        ref = run()
+        gc.collect()
+        assert ref() is None, run.__name__
+
+
 def test_solve_num_limits_files(tmp_path):
     (tmp_path / "spec.erx").write_text(
         "schema R(a: obj, b: obj).\nschema Rp(a: obj, b: obj).\n"
@@ -320,6 +370,21 @@ def test_eval_command(tmp_path):
     # the closure also predicts (a, c)
     assert payload["precision"] == pytest.approx(2 / 3, abs=1e-6)
     assert payload["recall"] == 1.0
+
+
+def test_eval_skips_value_lines_unread_and_rejects_bad_object_lines(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("a\tb\n", encoding="utf-8")
+    sol = tmp_path / "sol.txt"
+    # eval scores object merges only; malformed eqv lines are not read
+    sol.write_text("eqo\ta\tb\neqv\tt1\tx\neqv\tt1\tone\tt2\t2\n", encoding="utf-8")
+    res = run_cli("eval", "--solution", str(sol), "--truth", str(truth))
+    assert res.exit_code == 0
+    assert json.loads(res.output)["f1"] == 1.0
+    sol.write_text("eqo\ta\tb\neqo\ta\n", encoding="utf-8")
+    res = run_cli("eval", "--solution", str(sol), "--truth", str(truth))
+    assert res.exit_code == 2
+    assert "line 2: cannot parse 'eqo\\ta'" in res.output
 
 
 # -------------------------------------------------------------------- sim

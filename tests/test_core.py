@@ -20,7 +20,7 @@ from erx.core import (
     tid,
     val,
 )
-from oracles import close_by_saturation
+from oracles import ExtFact, close_by_saturation
 
 from conftest import build_authors
 
@@ -158,10 +158,17 @@ def test_closure_is_equivalence_relation(data):
             assert e.same(a, c)
 
 
+def decoded_facts(xdb):
+    """The rows of an extended database as extended facts of constants."""
+    consts = xdb.db.interned().constants
+    return [ExtFact(f.rel, f.tid, tuple(frozenset(consts[k] for k in s) for s in row[1:]), f)
+            for f, row in zip(xdb.db.facts, xdb.rows)]
+
+
 def test_extend_identity_has_singletons():
     _, db, _ = build_authors()
     xdb = extend(db, EquivRel.identity(db.objects()), EquivRel.identity(db.cells()))
-    for xf in xdb.facts:
+    for xf in decoded_facts(xdb):
         assert all(len(s) == 1 for s in xf.argsets)
 
 
@@ -173,7 +180,7 @@ def test_extend_running_example_sets():
         db.cells(),
     )
     xdb = extend(db, e, v)
-    by_tid = {xf.tid.text: xf for xf in xdb.facts}
+    by_tid = {xf.tid.text: xf for xf in decoded_facts(xdb)}
     merged_authors = frozenset({obj("a1"), obj("a2")})
     merged_names = frozenset({val("A. Turing"), val("Alan Turing")})
     merged_awards = frozenset({val("Smith's Prize"), val("Smith's Prize(1936)")})
@@ -191,8 +198,8 @@ def test_extend_single_fact_identity():
     decl = RelationDecl("R", (Sort.OBJ, Sort.VAL))
     db = Database([decl], [Fact(decl, tid("t"), (obj("o"), val("v")))])
     xdb = extend(db, EquivRel.identity(db.objects()), EquivRel.identity(db.cells()))
-    assert xdb.facts[0].argsets == (frozenset({obj("o")}), frozenset({val("v")}))
-    assert xdb.facts[0].set_at(0) == frozenset({tid("t")})
+    assert decoded_facts(xdb)[0].argsets == (frozenset({obj("o")}), frozenset({val("v")}))
+    assert decoded_facts(xdb)[0].set_at(0) == frozenset({tid("t")})
 
 
 def test_extend_universe_mismatch():
@@ -216,7 +223,7 @@ def test_extension_monotone_in_merges():
             else:
                 v = v.extend([(rng.choice(cells), rng.choice(cells))])
             cur = extend(db, e, v)
-            for xa, xb in zip(prev.facts, cur.facts):
+            for xa, xb in zip(decoded_facts(prev), decoded_facts(cur)):
                 assert all(sa <= sb for sa, sb in zip(xa.argsets, xb.argsets))
             prev = cur
 
@@ -226,7 +233,7 @@ def test_cell_value_sets_keep_own_value():
     cells = sorted(db.cells(), key=lambda c: (c.tid.text, c.pos))
     v = eqrel_close([(cells[0], cells[4])], db.cells())
     xdb = extend(db, EquivRel.identity(db.objects()), v)
-    for xf in xdb.facts:
+    for xf in decoded_facts(xdb):
         for i, a in enumerate(xf.orig.args, start=1):
             if xf.rel.type_vec[i - 1] is Sort.VAL:
                 assert a in xf.argsets[i - 1]

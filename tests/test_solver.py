@@ -5,11 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from erx.core import Cell, EquivRel, eqrel_close, extend, obj, tid
 from erx.gadgets import Cnf3, HornInput, gen_3sat_restricted_max_e, gen_horn
-from erx.query import SimilarityStore, dc_violated
+from erx.query import SimilarityStore, dc_body_query
 from erx.semantics import (
     Candidate,
     Criterion,
-    active_entries,
     criterion_sets,
     identity_candidate,
     is_solution,
@@ -38,7 +37,13 @@ from conftest import (
     build_object_instance,
     merged_texts,
 )
-from oracles import reachable_candidates, solutions_by_subsets
+from oracles import (
+    reachable_candidates,
+    reference_active_entries,
+    reference_eval_boolean,
+    reference_is_solution,
+    solutions_by_subsets,
+)
 from randgen import random_instance
 
 
@@ -88,7 +93,7 @@ def test_enumeration_outputs_are_solutions_and_exhaustive():
             continue
         for cand in sols:
             assert is_solution(db, spec, cand, sim)
-        oracle_sols = {c for c in reachable if is_solution(db, spec, c, sim)}
+        oracle_sols = {c for c in reachable if reference_is_solution(db, spec, c, sim)}
         assert set(sols) == oracle_sols
         checked += 1
 
@@ -319,18 +324,20 @@ def test_walk_solutions_match_subset_oracle(seed, restricted):
 @given(SEEDS, st.booleans(), st.booleans())
 def test_walk_incremental_evaluation_matches_from_scratch(seed, restricted, extra):
     # Every visited state's constraint verdicts, and its active entries
-    # wherever the walk computes them, agree with evaluation from scratch.
+    # wherever the walk computes them, agree with evaluation from scratch
+    # and with the reference interpreter.
     spec, db, sim = random_instance(random.Random(seed), max_objects=4, max_facts=6,
                                     restricted=restricted, extra=extra)
     walk = DerivationWalk(db, spec, sim)
     for state in walk.states():
         cand = walk.candidate(state)
         xdb = extend(db, cand.E, cand.V)
-        assert state.violated == tuple(dc_violated(dc, xdb, sim) for dc in spec.dcs)
+        assert state.violated == tuple(
+            reference_eval_boolean(dc_body_query(dc), xdb, sim) for dc in spec.dcs)
         if state.entries is not None:
             sets = walk.criterion_sets(cand, state)
             assert sets == criterion_sets(db, cand, spec, sim)
-            assert sets.supp | sets.viol == active_entries(db, cand, spec, sim)
+            assert sets.supp | sets.viol == reference_active_entries(db, cand, spec, sim)
         else:
             assert spec.restricted and any(state.violated)
 

@@ -18,7 +18,7 @@ from erx.specdsl import (
     validate_rule_shapes,
 )
 
-from conftest import AUTHORS_SPEC, TWO_RULE_CONFLICT
+from conftest import AUTHORS_SPEC, NEQ_RULE_SPEC, TWO_RULE_CONFLICT
 
 
 def test_parse_authors_spec_counts():
@@ -240,6 +240,23 @@ def test_untypable_inequalities_rejected(atom):
     with pytest.raises(SpecError) as err:
         parse_spec(f"schema R(a: obj, b: val).\ndc d: R[t](x, v), {atom}.\n")
     assert "line 2" in str(err.value)
+
+
+def test_inequality_in_rule_body_rejected_at_its_token():
+    with pytest.raises(SpecError, match="denial constraints only") as err:
+        parse_spec(NEQ_RULE_SPEC)
+    assert (err.value.line, err.value.col) == (4, 42)
+
+
+def test_specification_rejects_inequality_in_rule_body():
+    # built directly, without the parser: the search relies on monotone
+    # rule bodies, so such a specification must not exist
+    body = (RelAtom("R", TidVar("t"), (Var("x"), Var("v"))),
+            RelAtom("R", TidVar("s"), (Var("y"), Var("w"))), NeqAtom(Var("v"), Var("w")))
+    with pytest.raises(SpecError, match="r: inequality atoms belong in denial constraints only"):
+        Specification(_binary_schema(), (ObjectRule("r", False, body, ("x", "y")),), (), ())
+    with pytest.raises(SpecError, match="q: inequality"):
+        Specification(_binary_schema(), (), (ValueRule("q", True, body, ("t", "s"), (2, 2)),), ())
 
 
 def test_restricted_flag_scans_inequalities():
