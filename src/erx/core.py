@@ -2,8 +2,8 @@
 equivalence relations, and set-valued extended databases.
 
 Everything here is immutable after construction, except that a database
-builds its interned form (`Database.interned`) on first use; closure and
-extension are pure functions.
+builds its interned form (`Database.interned`) and compiled queries on
+first use; closure and extension are pure functions.
 """
 from __future__ import annotations
 
@@ -170,7 +170,7 @@ class Database:
     """
 
     __slots__ = ("schema", "facts", "_by_tid", "_by_rel", "_objects", "_cells", "_interned",
-                 "__weakref__")
+                 "queries", "__weakref__")
 
     def __init__(self, schema: Iterable[RelationDecl], facts: Iterable[Fact]):
         self.schema: dict[str, RelationDecl] = {}
@@ -200,10 +200,14 @@ class Database:
         self._objects = frozenset(objects)
         self._cells = frozenset(cells)
         self._interned = None
+        # (query, similarity store) -> the query compiled against the
+        # interned form (`query.compiled`), so that nothing is compiled twice.
+        self.queries: dict = {}
 
     def interned(self) -> "InternedDatabase":
-        """The interned form of this database, which also holds its compiled
-        queries; built on first use and freed with the database."""
+        """The interned form of this database, built on first use.  It holds
+        no reference back, so the database and everything built for it are
+        freed by reference counting once a run drops it."""
         if self._interned is None:
             self._interned = InternedDatabase(self)
         return self._interned
@@ -411,16 +415,13 @@ class InternedDatabase:
     partitions have equal label tuples.  An extended database is a tuple of
     *rows*, one per fact of `db.facts`; a row holds the code set at the tid
     position (a singleton) and at each argument position.
-
-    `queries` maps (query, similarity store) to the query compiled against
-    this database (`query.compiled`), so that nothing is compiled twice.
     """
 
-    __slots__ = ("db", "objects", "cells", "constants", "_codes", "fact_rel", "facts_of",
-                 "orig", "cell_of", "queries", "_identity", "_obj_at", "_cell_at", "_cell_value")
+    __slots__ = ("schema", "objects", "cells", "constants", "_codes", "fact_rel", "facts_of",
+                 "orig", "cell_of", "_identity", "_obj_at", "_cell_at", "_cell_value")
 
     def __init__(self, db: Database):
-        self.db = db
+        self.schema = db.schema
         self.objects = tuple(sorted(db.objects(), key=element_key))
         self.cells = tuple(sorted(db.cells(), key=element_key))
         self.constants: list[Constant] = list(self.objects)
@@ -443,7 +444,6 @@ class InternedDatabase:
         self._cell_at = tuple(cell_at)
         self._cell_value = tuple(self.orig[fi][pos] for fi, pos in cell_at)
         self._identity = tuple(tuple(frozenset((k,)) for k in codes) for codes in self.orig)
-        self.queries: dict = {}
 
     def code(self, c: Constant) -> int:
         """The code of a constant, interning it on first sight."""

@@ -22,7 +22,7 @@ directly, so denial-constraint checking is unaffected by the anchoring.
 There is one evaluator, `CompiledQuery`, which runs over the interned rows
 of an extended database.  A query is compiled once per database and
 similarity store; `eval_query`, `eval_boolean` and `dc_violated` look the
-compiled form up in the database's interned form (`compiled`).
+compiled form up in the database's `queries` (`compiled`).
 """
 from __future__ import annotations
 
@@ -161,11 +161,10 @@ def _plan(q: Query, schema):
 
 def compiled(q: Query, db: Database, sim: SimilarityStore) -> "CompiledQuery":
     """The query compiled against the database and similarity store, kept
-    in the database's interned form."""
-    idb = db.interned()
-    c = idb.queries.get((q, sim))
+    by the database."""
+    c = db.queries.get((q, sim))
     if c is None:
-        c = idb.queries[q, sim] = CompiledQuery(q, idb, sim)
+        c = db.queries[q, sim] = CompiledQuery(q, db.interned(), sim)
     return c
 
 
@@ -202,7 +201,7 @@ class CompiledQuery:
     """
 
     def __init__(self, q: Query, idb: InternedDatabase, sim: SimilarityStore):
-        rel_atoms, occ, strip_vars = _plan(q, idb.db.schema)
+        rel_atoms, occ, strip_vars = _plan(q, idb.schema)
         var = {name: i for i, name in enumerate(sorted(occ))}
         self.monotone = not any(isinstance(a, NeqAtom) for a in q.atoms)
         self.idb = idb

@@ -90,30 +90,46 @@ def _tokens(s: str) -> list[str]:
     return s.lower().split()
 
 
-def tfidf_cosine(a: str, b: str, corpus: Iterable[str]) -> float:
+class TfidfCorpus:
+    """The document frequencies of a corpus, counted on first use, and the
+    TF-IDF weights and norm of each string scored against it, computed once
+    and kept.  One is built per similarity store."""
+
+    __slots__ = ("_docs", "_df", "_vectors")
+
+    def __init__(self, docs: Iterable[str]):
+        self._docs = tuple(docs)
+        self._df: Counter | None = None
+        self._vectors: dict[str, tuple[dict[str, float], float]] = {}
+
+    def vector(self, s: str) -> tuple[dict[str, float], float]:
+        """The weights of s by token, and their Euclidean norm."""
+        if self._df is None:
+            if not self._docs:
+                raise DomainError("tfidf_cosine needs a nonempty corpus")
+            self._df = Counter(tok for d in self._docs for tok in frozenset(_tokens(d)))
+        v = self._vectors.get(s)
+        if v is None:
+            weights = {}
+            for tok, count in Counter(_tokens(s)).items():
+                df = self._df[tok]
+                if df > 0:
+                    weights[tok] = count * math.log(len(self._docs) / df)
+            v = self._vectors[s] = (weights, math.sqrt(sum(w * w for w in weights.values())))
+        return v
+
+
+def tfidf_cosine(a: str, b: str, corpus: Iterable[str] | TfidfCorpus) -> float:
     """Cosine of the TF-IDF vectors of a and b.
 
     Term frequency is the raw token count; inverse document frequency is
     ln(N / df) over the corpus, with unseen tokens weighted 0.  A zero-norm
     vector (every token universal or unseen) scores 0 by convention.
     """
-    docs = [frozenset(_tokens(d)) for d in corpus]
-    if not docs:
-        raise DomainError("tfidf_cosine needs a nonempty corpus")
-    n_docs = len(docs)
-
-    def weights(s: str) -> dict[str, float]:
-        out = {}
-        for tok, count in Counter(_tokens(s)).items():
-            df = sum(1 for d in docs if tok in d)
-            if df > 0:
-                out[tok] = count * math.log(n_docs / df)
-        return out
-
-    wa, wb = weights(a), weights(b)
+    if not isinstance(corpus, TfidfCorpus):
+        corpus = TfidfCorpus(corpus)
+    (wa, na), (wb, nb) = corpus.vector(a), corpus.vector(b)
     dot = sum(w * wb.get(tok, 0.0) for tok, w in wa.items())
-    na = math.sqrt(sum(w * w for w in wa.values()))
-    nb = math.sqrt(sum(w * w for w in wb.values()))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -139,7 +155,7 @@ def _round_score(x: float) -> int:
     return max(0, min(100, score))
 
 
-def pair_score(a: str, b: str, cfg: SimConfig, corpus: Iterable[str]) -> int:
+def pair_score(a: str, b: str, cfg: SimConfig, corpus: Iterable[str] | TfidfCorpus) -> int:
     if looks_numeric(a) and looks_numeric(b):
         longest = max(len(a), len(b))
         return _round_score(1.0 - levenshtein(a, b) / longest) if longest else 100
@@ -180,13 +196,15 @@ def build_sim_store(db: Database, cfg: SimConfig = SimConfig(),
 
     With a spec, only values at positions referenced by similarity atoms are
     paired (full cross product within them); otherwise all value constants.
-    Override scores take precedence over computed ones.
+    Override scores take precedence over computed ones.  Document
+    frequencies are counted once per build, so the pairs cost O(V^2) plus
+    the measure of each pair.
     """
     if spec is not None:
         values = _referenced_values(db, spec)
     else:
         values = db.value_constants()
-    corpus = sorted(v.text for v in db.value_constants())
+    corpus = TfidfCorpus(v.text for v in db.value_constants())
     store = SimilarityStore()
     ordered = sorted(values, key=lambda c: c.text)
     for i, a in enumerate(ordered):

@@ -125,7 +125,7 @@ class DerivationWalk:
     cannot lead to a solution (its derivation prefixes lie below any
     solution and are violation-free) and is not expanded.  The interned
     database and compiled queries are the database's own
-    (`Database.interned`).
+    (`Database.interned`, `Database.queries`).
     """
 
     def __init__(self, db: Database, spec: Specification, sim: SimilarityStore):

@@ -2,24 +2,29 @@
 
 Everything here is deliberately naive and kept separate from the package:
 closure by repeated pairwise saturation, recursive edit distance, a direct
-transcription of Jaro-Winkler, dense TF-IDF vectors, substitution-based
-conjunctive-query evaluation, the set-witness interpreter over extended
-facts built from the merge relations, unrestricted witness search,
-depth-first exploration of one-pair-at-a-time derivations, and solution
-enumeration by closing every subset of the generator universe.
+transcription of Jaro-Winkler, dense TF-IDF vectors, TF-IDF that rescans the
+corpus for every pair and the similarity store built on it,
+substitution-based conjunctive-query evaluation, the set-witness
+interpreter over extended facts built from the merge relations,
+unrestricted witness search, depth-first exploration of one-pair-at-a-time
+derivations, and solution enumeration by closing every subset of the
+generator universe.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
-from erx.core import (Cell, Constant, EquivRel, Fact, NULL, RelationDecl, Sort, element_key,
-                      is_null, norm_pair)
+from erx.core import (Cell, Constant, DomainError, EquivRel, Fact, NULL, RelationDecl, Sort,
+                      element_key, is_null, norm_pair)
 from erx.query import Query, SimilarityStore, UnsafeQueryError, dc_body_query, rule_body_query
 from erx.semantics import Candidate, identity_candidate, in_merge
+from erx.similarity import (SimConfig, _referenced_values, _round_score, jaro_winkler,
+                            levenshtein, looks_numeric)
 from erx.solver import candidate_key
 from erx.specdsl import ConstTerm, NeqAtom, RelAtom, SimAtom, TidVar, ValueRule, Var
 
@@ -108,6 +113,53 @@ def tfidf_cosine_dense(a: str, b: str, corpus) -> float:
     if na == 0 or nb == 0:
         return 0.0
     return dot / (na * nb)
+
+
+def reference_tfidf_cosine(a: str, b: str, corpus) -> float:
+    """TF-IDF cosine that re-tokenises the corpus for every pair, in the
+    same order of summation as `erx.similarity.tfidf_cosine`."""
+    docs = [frozenset(d.lower().split()) for d in corpus]
+    if not docs:
+        raise DomainError("tfidf_cosine needs a nonempty corpus")
+    n_docs = len(docs)
+
+    def weights(s: str) -> dict[str, float]:
+        out = {}
+        for tok, count in Counter(s.lower().split()).items():
+            df = sum(1 for d in docs if tok in d)
+            if df > 0:
+                out[tok] = count * math.log(n_docs / df)
+        return out
+
+    wa, wb = weights(a), weights(b)
+    dot = sum(w * wb.get(tok, 0.0) for tok, w in wa.items())
+    na = math.sqrt(sum(w * w for w in wa.values()))
+    nb = math.sqrt(sum(w * w for w in wb.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def reference_sim_store(db, cfg: SimConfig = SimConfig(), spec=None,
+                        overrides: SimilarityStore | None = None) -> SimilarityStore:
+    """`build_sim_store` with every long-text pair scored by
+    `reference_tfidf_cosine` over the database's value texts."""
+    values = db.value_constants() if spec is None else _referenced_values(db, spec)
+    corpus = sorted(v.text for v in db.value_constants())
+    store = SimilarityStore()
+    ordered = sorted(values, key=lambda c: c.text)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            x, y = a.text, b.text
+            if looks_numeric(x) and looks_numeric(y):
+                longest = max(len(x), len(y))
+                score = _round_score(1.0 - levenshtein(x, y) / longest) if longest else 100
+            elif len(x) < cfg.short_len_threshold and len(y) < cfg.short_len_threshold:
+                score = _round_score(jaro_winkler(x, y))
+            else:
+                score = _round_score(reference_tfidf_cosine(x, y, corpus))
+            store.put(a, b, score)
+    return store if overrides is None else store.updated(overrides)
 
 
 def naive_identity_answers(q, db, sim: SimilarityStore):

@@ -133,7 +133,7 @@ def test_solve_running_example(tmp_path):
     assert report["verdict"] == "ok"
     assert report["instance"] == {"facts": 6, "objects": 3, "cells": 12}
     assert report["criterion"] == "maxES"
-    assert set(report["timings"]) == {"parse_s", "saturate_s", "search_s"}
+    assert set(report["timings"]) == {"parse_s", "search_s"}
     assert report["solutions"][0]["file"] == "solution_001.txt"
 
 
@@ -202,8 +202,9 @@ def test_solve_rejects_inequality_in_rule_body(tmp_path):
 
 
 def test_runs_keep_no_database_alive(tmp_path, monkeypatch):
-    # The interned form and compiled queries hang off the database itself,
-    # so once a run returns nothing else refers to the database.
+    # The interned form and compiled queries hang off the database itself
+    # and refer to nothing that leads back to it, so once a run returns
+    # nothing else refers to the database.
     def restricted():
         inst = gen_horn(HornInput(("x1", "x2"), ("x1",), (("x1", "x1", "x2"),), "x2"))
         recognize_optimal_restricted(inst.db, inst.spec, inst.candidate, Criterion.MIN_AS,
@@ -231,7 +232,13 @@ def test_runs_keep_no_database_alive(tmp_path, monkeypatch):
         return refs[0]
 
     for run in (restricted, brute, solve):
-        ref = run()
+        gc.disable()
+        try:
+            ref = run()
+            # Reference counting alone frees it: the run leaves no cycle.
+            assert ref() is None, run.__name__
+        finally:
+            gc.enable()
         gc.collect()
         assert ref() is None, run.__name__
 

@@ -2,12 +2,15 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from erx.core import DomainError, NULL, val
+import erx.similarity
+from erx.core import Database, DomainError, Fact, NULL, obj, tid, val
+from erx.gadgets import Cnf3, gen_3sat_restricted_min_a
 from erx.query import SimilarityStore
 from erx.similarity import (
     SimConfig,
+    TfidfCorpus,
     build_sim_store,
     jaro_winkler,
     levenshtein,
@@ -18,7 +21,9 @@ from erx.similarity import (
 )
 
 from conftest import AUTHORS_SIM, build_authors
-from oracles import jaro_winkler_direct, levenshtein_recursive, tfidf_cosine_dense
+from erx.specdsl import parse_spec
+from oracles import (jaro_winkler_direct, levenshtein_recursive, reference_sim_store,
+                     reference_tfidf_cosine, tfidf_cosine_dense)
 
 short = st.text(alphabet=string.ascii_lowercase, max_size=8)
 
@@ -82,6 +87,17 @@ def test_tfidf_universal_tokens_score_zero():
 def test_tfidf_empty_corpus_rejected():
     with pytest.raises(DomainError):
         tfidf_cosine("a", "b", [])
+    corpus = TfidfCorpus([])  # only scoring against it fails
+    with pytest.raises(DomainError):
+        tfidf_cosine("a", "b", corpus)
+
+
+def test_store_without_value_constants_is_empty():
+    # The minA gadget has objects only, so the corpus is empty but never used.
+    inst = gen_3sat_restricted_min_a(Cnf3(1, ((1, 1, 1),)))
+    assert not inst.db.value_constants()
+    assert len(build_sim_store(inst.db)) == 0
+    assert len(build_sim_store(inst.db, spec=inst.spec)) == 0
 
 
 def test_tfidf_example_against_dense_oracle():
@@ -166,3 +182,64 @@ def test_oracle_battery_random_strings():
         b = "".join(rng.choices("abcdef", k=rng.randint(0, 7)))
         assert levenshtein(a, b) == levenshtein_recursive(a, b)
         assert jaro_winkler(a, b) == pytest.approx(jaro_winkler_direct(a, b), abs=1e-12)
+
+
+WORDS = ("Alan", "turing", "TURING", "prize", "smith's", "computable", "numbers",
+         "machine", "of", "the", "on", "1936")
+mixed_value = st.one_of(
+    st.text(alphabet="abcAB .", min_size=1, max_size=8),  # short
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=9).map(" ".join),  # long, repeats
+    st.integers(-10**6, 10**8).map(str),  # numeric
+    st.just("  padded   with  spaces and tabs\tbetween words  "),
+)
+STORE_SPEC = parse_spec("""\
+schema R(e: obj, v: val).
+schema S(e: obj, w: val).
+soft obj r: R[t1](x, a), R[t2](y, b), sim(a, b) >= 50 => EqO(x, y).
+""")
+
+
+def values_db(r_values, s_values=()):
+    facts = [Fact(STORE_SPEC.schema[rel], tid(f"{rel}{i}"), (obj(f"o{i}"), val(v)))
+             for rel, values in (("R", r_values), ("S", s_values))
+             for i, v in enumerate(values)]
+    return Database(STORE_SPEC.schema.values(), facts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_value, max_size=12), st.lists(mixed_value, max_size=5))
+def test_store_matches_per_pair_reference(r_values, s_values):
+    # S values are in the corpus but, under the spec, in no pair.
+    db = values_db(r_values, s_values)
+    for spec in (None, STORE_SPEC):
+        store = build_sim_store(db, SimConfig(), spec=spec)
+        assert store.items() == reference_sim_store(db, SimConfig(), spec=spec).items()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_value, min_size=1, max_size=8),
+       st.lists(st.tuples(mixed_value, mixed_value), min_size=1, max_size=6))
+# Summing the weights in sorted token order changes this score's last bit.
+@example(["machine machine", "smith's prize prize prize", "TURING turing machine the turing",
+          "Alan TURING Alan numbers", "of Alan", "prize", "computable on turing numbers the Alan",
+          "TURING turing turing"],
+         [("prize of on machine turing TURING", "on Alan prize on the on on of of")])
+def test_prebuilt_corpus_scores_equal_reference(corpus, pairs):
+    # Pair values are mostly absent from the corpus; one corpus serves them all.
+    prebuilt = TfidfCorpus(corpus)
+    for a, b in pairs + [(corpus[0], corpus[-1])]:
+        assert tfidf_cosine(a, b, prebuilt) == reference_tfidf_cosine(a, b, corpus)
+
+
+def test_store_tokenises_each_string_once(monkeypatch):
+    calls = []
+    tokens = erx.similarity._tokens
+    monkeypatch.setattr(erx.similarity, "_tokens", lambda s: calls.append(s) or tokens(s))
+    n = 40
+    db = values_db([f"entity {i} described at length by words {i % 7} and {i % 3}"
+                    for i in range(n)])
+    store = build_sim_store(db)
+    assert len(store) == n * (n - 1) // 2
+    # Document frequencies once per corpus string, weights once per value;
+    # rescanning the corpus per pair makes about n * n * n / 2 calls.
+    assert 0 < len(calls) <= len(db.value_constants()) + n
