@@ -85,7 +85,8 @@ def main():
 @click.option("--num", "-n", default=1, show_default=True,
               help="Maximum number of optimal solutions to write.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--pair-budget", default=16, show_default=True)
+@click.option("--pair-budget", default=16, show_default=True,
+              help="Most derivable pairs the search may face.")
 @_engine_errors
 def solve(spec_path, data_dir, overrides_path, criterion, num, out_dir, pair_budget):
     """Write up to NUM optimal solutions plus a run report."""
@@ -144,7 +145,9 @@ def check(spec_path, data_dir, overrides_path, solution_path):
               show_default=True)
 @click.option("--engine", type=click.Choice(["brute", "restricted"]), default="brute",
               show_default=True)
-@click.option("--pair-budget", default=16, show_default=True)
+@click.option("--pair-budget", default=16, show_default=True,
+              help="Most derivable pairs the brute engine may face; the restricted "
+                   "engine is polynomial and reads no budget.")
 @_engine_errors
 def recognize(spec_path, data_dir, overrides_path, solution_path, criterion, engine,
               pair_budget):

@@ -400,7 +400,8 @@ def extend(db: Database, obj_merge: EquivRel, cell_merge: EquivRel) -> ExtendedD
         raise DomainError("object merge universe does not match Obj(D)")
     if cell_merge.universe != db.cells():
         raise DomainError("cell merge universe does not match Cells(D)")
-    return ExtendedDatabase(db, obj_merge, cell_merge, db.interned().rows(obj_merge, cell_merge))
+    return ExtendedDatabase(db, obj_merge, cell_merge,
+                            db.interned().rows(obj_merge, cell_merge)[1])
 
 
 class InternedDatabase:
@@ -456,16 +457,25 @@ class InternedDatabase:
     def identity_rows(self) -> tuple[tuple[frozenset[int], ...], ...]:
         return self._identity
 
-    def rows(self, obj_merge: EquivRel, cell_merge: EquivRel) -> tuple:
-        """The rows of the extended database of the two merges; rows of
-        facts they do not touch are shared with `identity_rows()`."""
+    def number(self, e: Element) -> int:
+        """The number of an object or a cell."""
+        if isinstance(e, Cell):
+            return self.cell_of[self._codes[e.tid], e.pos]
+        return self._codes[e]
+
+    def rows(self, obj_merge: EquivRel, cell_merge: EquivRel) -> tuple[tuple, tuple]:
+        """The label tuples of the two merges and the rows of their extended
+        database; rows of facts they do not touch are shared with
+        `identity_rows()`."""
+        labels = (list(range(len(self.objects))), list(range(len(self.cells))))
         rows = self._identity
-        for c in obj_merge.merged_classes():
-            rows, _ = self.merged_rows(rows, False, [self._codes[o] for o in c])
-        for c in cell_merge.merged_classes():
-            rows, _ = self.merged_rows(rows, True,
-                                       [self.cell_of[self._codes[x.tid], x.pos] for x in c])
-        return rows
+        for cells, rel in enumerate((obj_merge, cell_merge)):
+            for c in rel.merged_classes():
+                members = sorted(self.number(e) for e in c)
+                for i in members:
+                    labels[cells][i] = members[0]
+                rows, _ = self.merged_rows(rows, cells, members)
+        return (tuple(labels[0]), tuple(labels[1])), rows
 
     def merged_rows(self, rows: tuple, cells: bool, members: list[int]):
         """The rows after the objects (or cells) numbered `members` were

@@ -1,11 +1,19 @@
-"""Solution semantics: active merge pairs, candidate and solution checks,
-and the four annotated sets behind the optimality criteria.
+"""Solution semantics: active merge pairs, the derivation walk over merge
+states, candidate and solution checks, and the four annotated sets behind
+the optimality criteria.
 
 A pair is *active* when it is an answer of some rule body over the current
 extended database.  Stored active entries are (pair, rule label) with the
 pair in canonical unordered form and reflexive pairs dropped; that makes
 membership tests orientation-free and reproduces the counting used by the
 hardness constructions.
+
+There are two readings of a merge state.  `active_entries`,
+`criterion_sets`, `first_failure` and `extend` read one candidate from its
+merge relations.  `DerivationWalk` holds states in integer space (label
+tuples and interned rows) and builds each from another by the delta rule;
+every fixpoint (derivability here, the generator universe and the
+restricted recognizer in `solver`) is its `saturate`.
 """
 from __future__ import annotations
 
@@ -17,13 +25,15 @@ from .core import (
     Cell,
     Database,
     DomainError,
+    EngineError,
     EquivRel,
     Element,
     extend,
     norm_pair,
 )
-from .query import SimilarityStore, dc_violated, eval_query, rule_body_query
-from .specdsl import Specification
+from .query import (SimilarityStore, compiled, dc_body_query, dc_violated, eval_query,
+                    rule_body_query)
+from .specdsl import ObjectRule, Specification
 
 Pair = tuple[Element, Element]
 ActiveEntry = tuple[Pair, str]
@@ -107,24 +117,231 @@ def criterion_sets_of(cand: Candidate, supp: frozenset[ActiveEntry],
     )
 
 
-def saturate(db: Database, spec: Specification, sim: SimilarityStore, start: Candidate,
-             admit: Callable[[Pair, str], bool]) -> tuple[Candidate, frozenset[ActiveEntry]]:
-    """From `start`, merge every active entry's pair that `admit(pair,
-    label)` accepts, all at once, until no such pair is left unmerged.
-    Returns the fixpoint and its active entries.
+class BudgetExceededError(EngineError):
+    """The search budget ran out before a conclusive answer was reached."""
 
-    Rule bodies are monotone (inequality atoms belong in denial constraints
-    only), so a pair stays active once it is: batched addition reaches the
-    same states as one-pair-at-a-time derivations.
+
+#: The merge states a derivation walk visits before it gives up.
+DEFAULT_MAX_STATES = 200_000
+
+
+class WalkState:
+    """One merge state of a `DerivationWalk`.
+
+    `labels` holds the object and the cell label tuple and `rows` the
+    extended database (see `InternedDatabase`).  `violated` holds one
+    verdict per denial constraint.  Active entries are (cells, a, b, rule):
+    `a < b` number two objects when `cells` is 0 and two cells when it is
+    1, so `labels[cells]` labels them.  They are None for a state the walk
+    will not expand and that cannot be a solution.  `solution` holds when
+    no constraint is violated and every hard entry is merged; with
+    derivability, which every state the walk reaches from the identity
+    has, that makes the state a solution.
     """
-    cur = start
-    while True:
-        entries = active_entries(db, cur, spec, sim)
-        fresh = [p for p, label in entries if not in_merge(cur, p) and admit(p, label)]
-        if not fresh:
-            return cur, entries
-        cur = Candidate(cur.E.extend(p for p in fresh if not isinstance(p[0], Cell)),
-                        cur.V.extend(p for p in fresh if isinstance(p[0], Cell)))
+
+    __slots__ = ("labels", "rows", "violated", "entries", "solution")
+
+    def __init__(self, labels, rows, violated, entries, solution):
+        self.labels = labels
+        self.rows = rows
+        self.violated = violated
+        self.entries = entries
+        self.solution = solution
+
+
+class DerivationWalk:
+    """Merge states in integer space, each built from another by the delta
+    rule: the candidates reachable from the identity merges by adding one
+    active pair at a time (`states`), and the fixpoints reached by adding
+    admitted active pairs in batches (`saturate`).
+
+    A state gets its constraint verdicts and active entries once, from the
+    state it was merged from:
+
+      * rows of facts the merges do not touch are shared;
+      * a constraint without inequality atoms stays violated once it is,
+        and otherwise becomes violated only through a witness that picks a
+        changed fact;
+      * a rule keeps the earlier entries and gains those witnessed through
+        a changed fact (rule bodies have no inequality atoms).
+
+    Constraints with inequality atoms are evaluated in full.  The interned
+    database and compiled queries are the database's own
+    (`Database.interned`, `Database.queries`).
+    """
+
+    def __init__(self, db: Database, spec: Specification, sim: SimilarityStore):
+        self.idb = db.interned()
+        rules = spec.rules()
+        self.rule_labels = tuple(r.label for r in rules)
+        self._hard = tuple(r.hard for r in rules)
+        self._rules = tuple(
+            (k, compiled(rule_body_query(r), db, sim),
+             None if isinstance(r, ObjectRule) else r.head_pos)
+            for k, r in enumerate(rules)
+        )
+        self._dcs = tuple(compiled(dc_body_query(dc), db, sim) for dc in spec.dcs)
+        self._prune = spec.restricted and bool(spec.dcs)
+        self._identity = (tuple(range(len(self.idb.objects))), tuple(range(len(self.idb.cells))))
+
+    def identity(self) -> WalkState:
+        """The state of the identity merges, evaluated in full."""
+        return self._start(self._identity, self.idb.identity_rows(), False)
+
+    def state(self, cand: Candidate) -> WalkState:
+        """The state of a candidate, evaluated in full."""
+        labels, rows = self.idb.rows(cand.E, cand.V)
+        return self._start(labels, rows, False)
+
+    def states(self, max_states: int = DEFAULT_MAX_STATES):
+        """Yield every candidate reachable from the identity once, depth
+        first, with its solution status.
+
+        A child is made by relabelling its parent's label tuple and is
+        dropped as a duplicate before anything else is built.  In the
+        restricted setting every constraint is monotone, so a violating
+        state cannot lead to a solution (its derivation prefixes lie below
+        any solution and are violation-free) and is not expanded.  Raises
+        BudgetExceededError when there are more than `max_states`.
+        """
+        idb = self.idb
+        start = self._start(self._identity, idb.identity_rows(), self._prune)
+        seen = {start.labels}
+        found = int(start.solution)
+        stack = [start]
+        yield start
+        while stack:
+            cur = stack.pop()
+            if cur.entries is None:
+                continue
+            for cells, la, lb in self._merges(cur):
+                labels = tuple(la if l == lb else l for l in cur.labels[cells])
+                key = (cur.labels[0], labels) if cells else (labels, cur.labels[1])
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > max_states:
+                    raise BudgetExceededError(
+                        f"the derivation walk reached {len(seen)} merge states, over the "
+                        f"budget of {max_states}; {found} solution(s) found so far"
+                    )
+                members = [i for i, l in enumerate(labels) if l == la]
+                rows, changed = idb.merged_rows(cur.rows, cells, members)
+                nxt = self._step(cur, key, rows, changed, self._prune)
+                found += nxt.solution
+                stack.append(nxt)
+                yield nxt
+
+    def merged(self, state: WalkState, pairs) -> WalkState:
+        """The state after also merging each (cells, a, b) of `pairs`.  The
+        labels are merged one pair at a time; verdicts and entries come
+        from one delta step over every fact the merges changed."""
+        labels = list(state.labels)
+        rows = state.rows
+        changed: dict[str, set[int]] = {}
+        for cells, a, b in pairs:
+            la, lb = labels[cells][a], labels[cells][b]
+            if la == lb:
+                continue
+            if lb < la:
+                la, lb = lb, la
+            labels[cells] = tuple(la if l == lb else l for l in labels[cells])
+            members = [i for i, l in enumerate(labels[cells]) if l == la]
+            rows, delta = self.idb.merged_rows(rows, cells, members)
+            for rel, facts in delta.items():
+                changed.setdefault(rel, set()).update(facts)
+        return self._step(state, tuple(labels), rows,
+                          {rel: sorted(facts) for rel, facts in changed.items()}, False)
+
+    def saturate(self, state: WalkState, admit: Callable[[tuple], bool]) -> WalkState:
+        """From `state`, merge the pair of every active entry that `admit`
+        accepts, in batches, until no such pair is left unmerged; the
+        fixpoint.
+
+        Rule bodies are monotone (inequality atoms belong in denial
+        constraints only), so a pair stays active once it is: batched
+        addition reaches the same states as one-pair-at-a-time derivations.
+        """
+        while True:
+            labels = state.labels
+            fresh = [e[:3] for e in state.entries
+                     if labels[e[0]][e[1]] != labels[e[0]][e[2]] and admit(e)]
+            if not fresh:
+                return state
+            state = self.merged(state, fresh)
+
+    def _start(self, labels, rows, prune: bool) -> WalkState:
+        return self._state(labels, rows, tuple(q.holds(rows) for q in self._dcs), None, None,
+                           prune)
+
+    def _step(self, parent: WalkState, labels, rows, changed, prune: bool) -> WalkState:
+        """The delta step: the state with `labels` and `rows`, merged from
+        `parent` by merges that changed the facts `changed`."""
+        violated = tuple(
+            (parent.violated[k] or q.holds_delta(rows, changed)) if q.monotone
+            else q.holds(rows)
+            for k, q in enumerate(self._dcs)
+        )
+        return self._state(labels, rows, violated, parent.entries, changed, prune)
+
+    def _state(self, key, rows, violated, entries, changed, prune: bool) -> WalkState:
+        if prune and any(violated):
+            return WalkState(key, rows, violated, None, False)
+        if entries is None:
+            entries = frozenset(e for k, q, head in self._rules
+                                for e in self._entries(k, head, q.answers(rows)))
+        else:
+            delta = [e for k, q, head in self._rules
+                     for e in self._entries(k, head, q.answers_delta(rows, changed))]
+            if delta:
+                entries = entries.union(delta)
+        solution = not any(violated) and all(
+            key[cells][a] == key[cells][b] for cells, a, b, k in entries if self._hard[k]
+        )
+        return WalkState(key, rows, violated, entries, solution)
+
+    def _entries(self, k: int, head_pos, answers):
+        """Active entries of rule k from its body's answers."""
+        if head_pos is None:
+            pairs = answers
+        else:
+            i, j = head_pos
+            cell_of = self.idb.cell_of
+            pairs = [(cell_of[ta, i], cell_of[tb, j]) for ta, tb in answers]
+        cells = int(head_pos is not None)
+        return [(cells, a, b, k) if a < b else (cells, b, a, k) for a, b in pairs if a != b]
+
+    @staticmethod
+    def _merges(state: WalkState):
+        """The distinct class pairs (cells, la, lb), la < lb, that some
+        active entry of the state asks to merge."""
+        out = set()
+        for cells, a, b, _ in state.entries:
+            la, lb = state.labels[cells][a], state.labels[cells][b]
+            if la != lb:
+                out.add((cells, la, lb) if la < lb else (cells, lb, la))
+        return out
+
+    def index(self, pair: Pair) -> tuple[int, int, int]:
+        """The (cells, a, b) form of a canonical pair."""
+        return int(isinstance(pair[0], Cell)), self.idb.number(pair[0]), self.idb.number(pair[1])
+
+    def pair(self, cells: int, a: int, b: int) -> Pair:
+        elements = self.idb.cells if cells else self.idb.objects
+        return elements[a], elements[b]
+
+    def candidate(self, state: WalkState) -> Candidate:
+        return Candidate(EquivRel.from_labels(self.idb.objects, state.labels[0]),
+                         EquivRel.from_labels(self.idb.cells, state.labels[1]))
+
+    def criterion_sets(self, cand: Candidate, state: WalkState) -> CriterionSets:
+        """`criterion_sets` of the state, whose candidate is cand."""
+        supp, viol = set(), set()
+        for cells, a, b, k in state.entries:
+            labels = state.labels[cells]
+            entry = self.pair(cells, a, b), self.rule_labels[k]
+            (supp if labels[a] == labels[b] else viol).add(entry)
+        return criterion_sets_of(cand, frozenset(supp), frozenset(viol))
 
 
 def is_candidate(db: Database, spec: Specification, cand: Candidate,
@@ -133,8 +350,10 @@ def is_candidate(db: Database, spec: Specification, cand: Candidate,
     Saturating within the equivalence-closed target never leaves it."""
     if cand.E.universe != db.objects() or cand.V.universe != db.cells():
         raise DomainError("candidate universes do not match the database")
-    cur, _ = saturate(db, spec, sim, identity_candidate(db), lambda p, _: in_merge(cand, p))
-    return cur == cand
+    walk = DerivationWalk(db, spec, sim)
+    target, _ = walk.idb.rows(cand.E, cand.V)
+    top = walk.saturate(walk.identity(), lambda e: target[e[0]][e[1]] == target[e[0]][e[2]])
+    return top.labels == target
 
 
 def first_failure(db: Database, spec: Specification, cand: Candidate, sim: SimilarityStore,

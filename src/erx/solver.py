@@ -1,34 +1,33 @@
 """Solution enumeration, optimal-solution selection, and optimality
 recognition: exhaustive witness search in general, a polynomial fixpoint
 procedure in the inequality-free restricted setting.
+
+Both run on `semantics.DerivationWalk`: enumeration on its one-pair walk,
+the generator universe and the restricted recognizer on its saturation.
+`DerivationWalk`, `WalkState` and `BudgetExceededError` are re-exported
+here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import Database, DomainError, EngineError, EquivRel, element_key
-from .query import SimilarityStore, compiled, dc_body_query, rule_body_query
+from .query import EMPTY_SIM, SimilarityStore
 from .semantics import (
     ALL_CRITERIA,
     CARD_CRITERIA,
-    ActiveEntry,
+    DEFAULT_MAX_STATES,
+    BudgetExceededError,
     Candidate,
     Criterion,
-    CriterionSets,
+    DerivationWalk,
     Pair,
+    WalkState,
     criterion_sets,
-    criterion_sets_of,
-    first_failure,
-    identity_candidate,
     is_solution,
-    saturate,
     strictly_better,
 )
-from .specdsl import ObjectRule, Specification
-
-
-class BudgetExceededError(EngineError):
-    """The search budget ran out before a conclusive answer was reached."""
+from .specdsl import Specification
 
 
 class UnsupportedSettingError(EngineError):
@@ -46,7 +45,7 @@ class SearchConfig:
 
     max_solutions: int = 1_000_000
     pair_budget: int = 16
-    max_states: int = 200_000
+    max_states: int = DEFAULT_MAX_STATES
 
     def __post_init__(self):
         if self.max_solutions < 1 or self.pair_budget < 1 or self.max_states < 1:
@@ -80,159 +79,9 @@ def generator_universe(db: Database, spec: Specification,
                        sim: SimilarityStore) -> tuple[Pair, ...]:
     """Every pair that can appear in any candidate: saturate from identity,
     adding all active pairs (constraints ignored), and collect them."""
-    _, entries = saturate(db, spec, sim, identity_candidate(db), lambda p, label: True)
-    return tuple(sorted({p for p, _ in entries}, key=_pair_sort_key))
-
-
-class WalkState:
-    """One merge state of a `DerivationWalk`.
-
-    `labels` holds the object and the cell label tuple and `rows` the
-    extended database (see `InternedDatabase`).  `violated` holds one
-    verdict per denial constraint.  Active entries are (cells, a, b, rule):
-    `a < b` number two objects when `cells` is 0 and two cells when it is
-    1, so `labels[cells]` labels them.  They are None for a state the walk
-    will not expand and that cannot be a solution.
-    """
-
-    __slots__ = ("labels", "rows", "violated", "entries", "solution")
-
-    def __init__(self, labels, rows, violated, entries, solution):
-        self.labels = labels
-        self.rows = rows
-        self.violated = violated
-        self.entries = entries
-        self.solution = solution
-
-
-class DerivationWalk:
-    """The candidates reachable from the identity merges by adding one
-    active pair at a time, each visited once, with its solution status.
-
-    A child is made by relabelling its parent's label tuple and is dropped
-    as a duplicate before anything else is built.  Each state gets its
-    constraint verdicts and active entries once, from its parent's:
-
-      * rows of facts the merge does not touch are shared;
-      * a constraint without inequality atoms stays violated once it is,
-        and otherwise becomes violated only through a witness that picks a
-        changed fact;
-      * a rule keeps its parent's entries and gains those witnessed through
-        a changed fact (rule bodies have no inequality atoms).
-
-    Constraints with inequality atoms are evaluated in full.  In the
-    restricted setting every constraint is monotone, so a violating state
-    cannot lead to a solution (its derivation prefixes lie below any
-    solution and are violation-free) and is not expanded.  The interned
-    database and compiled queries are the database's own
-    (`Database.interned`, `Database.queries`).
-    """
-
-    def __init__(self, db: Database, spec: Specification, sim: SimilarityStore):
-        self.idb = db.interned()
-        rules = spec.rules()
-        self._rule_labels = tuple(r.label for r in rules)
-        self._hard = tuple(r.hard for r in rules)
-        self._rules = tuple(
-            (k, compiled(rule_body_query(r), db, sim),
-             None if isinstance(r, ObjectRule) else r.head_pos)
-            for k, r in enumerate(rules)
-        )
-        self._dcs = tuple(compiled(dc_body_query(dc), db, sim) for dc in spec.dcs)
-        self._prune = spec.restricted and bool(spec.dcs)
-
-    def states(self, max_states: int = DEFAULT_CONFIG.max_states):
-        """Yield every reachable state once, depth first from the identity.
-        Raises BudgetExceededError when there are more than `max_states`."""
-        idb = self.idb
-        key = (tuple(range(len(idb.objects))), tuple(range(len(idb.cells))))
-        rows = idb.identity_rows()
-        start = self._state(key, rows, tuple(q.holds(rows) for q in self._dcs), None, None)
-        seen = {key}
-        found = int(start.solution)
-        stack = [start]
-        yield start
-        while stack:
-            cur = stack.pop()
-            if cur.entries is None:
-                continue
-            for cells, la, lb in self._merges(cur):
-                labels = tuple(la if l == lb else l for l in cur.labels[cells])
-                key = (cur.labels[0], labels) if cells else (labels, cur.labels[1])
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > max_states:
-                    raise BudgetExceededError(
-                        f"the derivation walk reached {len(seen)} merge states, over the "
-                        f"budget of {max_states}; {found} solution(s) found so far"
-                    )
-                members = [i for i, l in enumerate(labels) if l == la]
-                rows, changed = idb.merged_rows(cur.rows, cells, members)
-                violated = tuple(
-                    (cur.violated[k] or q.holds_delta(rows, changed)) if q.monotone
-                    else q.holds(rows)
-                    for k, q in enumerate(self._dcs)
-                )
-                nxt = self._state(key, rows, violated, cur.entries, changed)
-                found += nxt.solution
-                stack.append(nxt)
-                yield nxt
-
-    def _state(self, key, rows, violated, entries, changed) -> WalkState:
-        if self._prune and any(violated):
-            return WalkState(key, rows, violated, None, False)
-        if entries is None:
-            entries = frozenset(e for k, q, head in self._rules
-                                for e in self._entries(k, head, q.answers(rows)))
-        else:
-            delta = [e for k, q, head in self._rules
-                     for e in self._entries(k, head, q.answers_delta(rows, changed))]
-            if delta:
-                entries = entries.union(delta)
-        solution = not any(violated) and all(
-            key[cells][a] == key[cells][b] for cells, a, b, k in entries if self._hard[k]
-        )
-        return WalkState(key, rows, violated, entries, solution)
-
-    def _entries(self, k: int, head_pos, answers):
-        """Active entries of rule k from its body's answers."""
-        if head_pos is None:
-            pairs = answers
-        else:
-            i, j = head_pos
-            cell_of = self.idb.cell_of
-            pairs = [(cell_of[ta, i], cell_of[tb, j]) for ta, tb in answers]
-        cells = int(head_pos is not None)
-        return [(cells, a, b, k) if a < b else (cells, b, a, k) for a, b in pairs if a != b]
-
-    @staticmethod
-    def _merges(state: WalkState):
-        """The distinct class pairs (cells, la, lb), la < lb, that some
-        active entry of the state asks to merge."""
-        out = set()
-        for cells, a, b, _ in state.entries:
-            la, lb = state.labels[cells][a], state.labels[cells][b]
-            if la != lb:
-                out.add((cells, la, lb) if la < lb else (cells, lb, la))
-        return out
-
-    def candidate(self, state: WalkState) -> Candidate:
-        return Candidate(EquivRel.from_labels(self.idb.objects, state.labels[0]),
-                         EquivRel.from_labels(self.idb.cells, state.labels[1]))
-
-    def criterion_sets(self, cand: Candidate, state: WalkState) -> CriterionSets:
-        """`semantics.criterion_sets` of the state, whose candidate is cand."""
-        supp, viol = set(), set()
-        for e in state.entries:
-            labels = state.labels[e[0]]
-            (supp if labels[e[1]] == labels[e[2]] else viol).add(self._entry(e))
-        return criterion_sets_of(cand, frozenset(supp), frozenset(viol))
-
-    def _entry(self, e) -> ActiveEntry:
-        cells, a, b, k = e
-        elements = self.idb.cells if cells else self.idb.objects
-        return (elements[a], elements[b]), self._rule_labels[k]
+    walk = DerivationWalk(db, spec, sim)
+    top = walk.saturate(walk.identity(), lambda e: True)
+    return tuple(sorted({walk.pair(*e[:3]) for e in top.entries}, key=_pair_sort_key))
 
 
 def _solutions(db: Database, spec: Specification, sim: SimilarityStore, cfg: SearchConfig):
@@ -286,7 +135,7 @@ def recognize_optimal_bruteforce(db: Database, spec: Specification, cand: Candid
 
 
 def recognize_many(db: Database, spec: Specification, cand: Candidate,
-                   criteria=ALL_CRITERIA, sim: SimilarityStore | None = None,
+                   criteria=ALL_CRITERIA, sim: SimilarityStore = EMPTY_SIM,
                    cfg: SearchConfig = DEFAULT_CONFIG) -> dict[Criterion, RecognitionResult]:
     """Brute-force recognition for several criteria over one enumeration."""
     if not is_solution(db, spec, cand, sim):
@@ -324,6 +173,10 @@ def recognize_optimal_restricted(db: Database, spec: Specification, cand: Candid
     only its constraints and hard rules need checking.  Once a constraint
     breaks along the way no extension can repair it, which is what makes
     the local search complete.
+
+    The input's state is built once and every seed saturates from it; a
+    fixpoint's verdict is its `WalkState.solution`.  `cfg` is not read:
+    the procedure is polynomial and needs no budget.
     """
     if not spec.restricted:
         raise UnsupportedSettingError("denial constraints use inequality atoms")
@@ -337,14 +190,19 @@ def recognize_optimal_restricted(db: Database, spec: Specification, cand: Candid
         return RecognitionResult(False, None)
 
     base = criterion_sets(db, cand, spec, sim)
+    walk = DerivationWalk(db, spec, sim)
+    start = walk.state(cand)
+    absent = {walk.index(p) for p in base.absent}
+    viol = {(walk.index(p), label) for p, label in base.viol}
     hard_labels = {r.label for r in spec.hard_rules()}
-    for seed in sorted(base.absent, key=_pair_sort_key):
-        def admit(p, label):
-            return (p == seed or label in hard_labels
-                    or (criterion is Criterion.MIN_AS and p not in base.absent)
-                    or (criterion is Criterion.MIN_VS and (p, label) not in base.viol))
+    for seed in [walk.index(p) for p in sorted(base.absent, key=_pair_sort_key)]:
+        def admit(e):
+            pair, label = e[:3], walk.rule_labels[e[3]]
+            return (pair == seed or label in hard_labels
+                    or (criterion is Criterion.MIN_AS and pair not in absent)
+                    or (criterion is Criterion.MIN_VS and (pair, label) not in viol))
 
-        cur, entries = saturate(db, spec, sim, cand, admit)
-        if first_failure(db, spec, cur, sim, entries) is None:
-            return RecognitionResult(False, cur)
+        top = walk.saturate(start, admit)
+        if top.solution:
+            return RecognitionResult(False, walk.candidate(top))
     return RecognitionResult(True, None)

@@ -6,7 +6,9 @@ transcription of Jaro-Winkler, dense TF-IDF vectors, TF-IDF that rescans the
 corpus for every pair and the similarity store built on it,
 substitution-based conjunctive-query evaluation, the set-witness
 interpreter over extended facts built from the merge relations,
-unrestricted witness search, depth-first exploration of one-pair-at-a-time
+unrestricted witness search, saturation that re-evaluates every rule body
+on each round (the generator universe, derivability and the restricted
+recognizer's local search), depth-first exploration of one-pair-at-a-time
 derivations, and solution enumeration by closing every subset of the
 generator universe.
 """
@@ -22,10 +24,10 @@ from types import SimpleNamespace
 from erx.core import (Cell, Constant, DomainError, EquivRel, Fact, NULL, RelationDecl, Sort,
                       element_key, is_null, norm_pair)
 from erx.query import Query, SimilarityStore, UnsafeQueryError, dc_body_query, rule_body_query
-from erx.semantics import Candidate, identity_candidate, in_merge
+from erx.semantics import Candidate, Criterion, identity_candidate, in_merge
 from erx.similarity import (SimConfig, _referenced_values, _round_score, jaro_winkler,
                             levenshtein, looks_numeric)
-from erx.solver import candidate_key
+from erx.solver import RecognitionResult, candidate_key
 from erx.specdsl import ConstTerm, NeqAtom, RelAtom, SimAtom, TidVar, ValueRule, Var
 
 
@@ -377,17 +379,18 @@ def reference_active_entries(db, cand, spec, sim: SimilarityStore):
     return frozenset(entries)
 
 
-def _reference_saturate(db, admit, entries_of):
-    """From the identity merges, add every active pair that `admit` accepts
-    until none is left unmerged; the fixpoint and its active entries.
-    `entries_of` memoises `reference_active_entries` for one instance."""
-    cur = identity_candidate(db)
+def _reference_saturate(db, start, admit, entries_of):
+    """From `start`, add every active pair whose entry `admit(pair, label)`
+    accepts until none is left unmerged; the fixpoint and its active
+    entries.  `entries_of` memoises `reference_active_entries` for one
+    instance."""
+    cur = start
     while True:
         entries = entries_of(cur)
-        fresh = [p for p, _ in entries if not in_merge(cur, p) and admit(p)]
+        fresh = [p for p, label in entries if not in_merge(cur, p) and admit(p, label)]
         if not fresh:
             return cur, entries
-        cur = _close_subset(db, list(cur.E.merged_pairs()) + list(cur.V.merged_pairs()) + fresh)
+        cur = close_subset(db, list(cur.E.merged_pairs()) + list(cur.V.merged_pairs()) + fresh)
 
 
 def _reference_entries_memo(db, spec, sim):
@@ -400,17 +403,64 @@ def _reference_entries_memo(db, spec, sim):
     return entries_of
 
 
-def reference_is_solution(db, spec, cand, sim, entries_of=None) -> bool:
-    """Derivable from the identity merges, no denial constraint violated
-    and every hard rule satisfied, all through the reference interpreter."""
+def _reference_pair_key(p):
+    return element_key(p[0]) + element_key(p[1])
+
+
+def reference_universe(db, spec, sim: SimilarityStore, entries_of=None):
+    """The generator universe: the pairs active at the identity saturated
+    with every active pair, in canonical order."""
     entries_of = entries_of or _reference_entries_memo(db, spec, sim)
-    if _reference_saturate(db, lambda p: in_merge(cand, p), entries_of)[0] != cand:
-        return False
+    _, entries = _reference_saturate(db, identity_candidate(db), lambda p, _: True, entries_of)
+    return tuple(sorted({p for p, _ in entries}, key=_reference_pair_key))
+
+
+def reference_is_candidate(db, spec, cand, sim: SimilarityStore, entries_of=None) -> bool:
+    """Derivable from the identity merges by adding active pairs."""
+    entries_of = entries_of or _reference_entries_memo(db, spec, sim)
+    start = identity_candidate(db)
+    return _reference_saturate(db, start, lambda p, _: in_merge(cand, p), entries_of)[0] == cand
+
+
+def _reference_passes(db, spec, cand, sim, entries_of) -> bool:
+    """No denial constraint violated and every hard rule satisfied."""
     xdb = _reference_extension(db, cand)
     if any(reference_eval_boolean(dc_body_query(dc), xdb, sim) for dc in spec.dcs):
         return False
     hard_labels = {r.label for r in spec.hard_rules()}
     return all(in_merge(cand, p) for p, label in entries_of(cand) if label in hard_labels)
+
+
+def reference_is_solution(db, spec, cand, sim, entries_of=None) -> bool:
+    """Derivable from the identity merges, no denial constraint violated
+    and every hard rule satisfied, all through the reference interpreter."""
+    entries_of = entries_of or _reference_entries_memo(db, spec, sim)
+    return (reference_is_candidate(db, spec, cand, sim, entries_of)
+            and _reference_passes(db, spec, cand, sim, entries_of))
+
+
+def reference_recognize_restricted(db, spec, cand, criterion, sim: SimilarityStore):
+    """The restricted recognizer's local search on the reference
+    interpreter: from the input solution, saturate each absent pair in
+    canonical order, adding hard-rule pairs and, under minAS (minVS), pairs
+    (entries) not absent (violated) at the input; the first fixpoint that
+    passes the constraints and hard rules is the witness."""
+    entries_of = _reference_entries_memo(db, spec, sim)
+    if not reference_is_solution(db, spec, cand, sim, entries_of):
+        return RecognitionResult(False, None)
+    viol = {(p, label) for p, label in entries_of(cand) if not in_merge(cand, p)}
+    absent = {p for p, _ in viol}
+    hard_labels = {r.label for r in spec.hard_rules()}
+    for seed in sorted(absent, key=_reference_pair_key):
+        def admit(p, label):
+            return (p == seed or label in hard_labels
+                    or (criterion is Criterion.MIN_AS and p not in absent)
+                    or (criterion is Criterion.MIN_VS and (p, label) not in viol))
+
+        top, _ = _reference_saturate(db, cand, admit, entries_of)
+        if _reference_passes(db, spec, top, sim, entries_of):
+            return RecognitionResult(False, top)
+    return RecognitionResult(True, None)
 
 
 def boolean_by_unrestricted_search(q, xdb, sim: SimilarityStore) -> bool:
@@ -531,7 +581,8 @@ def merged_pair_set(rel):
     return out
 
 
-def _close_subset(db, pairs) -> Candidate:
+def close_subset(db, pairs) -> Candidate:
+    """The candidate that closes the given object and cell pairs."""
     pairs = list(pairs)
     obj_pairs = [p for p in pairs if not isinstance(p[0], Cell)]
     cell_pairs = [p for p in pairs if isinstance(p[0], Cell)]
@@ -548,12 +599,11 @@ def solutions_by_subsets(db, spec, sim):
     evaluated by the reference interpreter.  Exponential in the universe;
     tiny inputs only."""
     entries_of = _reference_entries_memo(db, spec, sim)
-    _, entries = _reference_saturate(db, lambda p: True, entries_of)
-    universe = sorted({p for p, _ in entries}, key=lambda p: element_key(p[0]) + element_key(p[1]))
+    universe = reference_universe(db, spec, sim, entries_of)
     seen = set()
     out = []
     for mask in range(1 << len(universe)):
-        cand = _close_subset(db, (universe[i] for i in range(len(universe)) if mask >> i & 1))
+        cand = close_subset(db, (universe[i] for i in range(len(universe)) if mask >> i & 1))
         if cand in seen:
             continue
         seen.add(cand)

@@ -339,6 +339,44 @@ def test_recognize_not_optimal_exit(tmp_path):
     assert payload["optimal"] is False and "witness" in payload
 
 
+# The outputs below were captured from the from-scratch saturation engine
+# that preceded the derivation walk's; the walk must reproduce them.
+NOT_ENTAILED_HORN = "unit x1\nclause -x1 -x1 x2\nclause -x2 -x3 x4\nquery x4\n"
+SATISFIABLE_CNF = "p cnf 2 2\n1 2 2 0\n-1 -2 -2 0\n"
+PINNED_RESTRICTED = [
+    # (gadget kind, input, solution file, witness lines, a failing
+    # solution file, its check verdict)
+    ("horn", NOT_ENTAILED_HORN, "", ["eqo\tc1\tc2", "eqo\tx1\tx1p", "eqo\tx2\tx2p"],
+     "eqo\tc1\tc2\n", "solution: no (unsatisfied hard rule rho)"),
+    ("3sat-minA", SATISFIABLE_CNF, "eqo\t1\tx1\n", ["eqo\t0\tx2", "eqo\t1\tx1"],
+     "eqo\t0\tx1\neqo\t0\tx2\neqo\tc1\tc2\n", "solution: no (violates d8)"),
+]
+
+
+@pytest.mark.parametrize("kind, text, solution, witness, failing, verdict", PINNED_RESTRICTED)
+def test_restricted_witnesses_and_check_failures_are_pinned(tmp_path, kind, text, solution,
+                                                            witness, failing, verdict):
+    src = tmp_path / "input.txt"
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "g"
+    assert run_cli("gadget", "--kind", kind, "--input", str(src), "--out", str(out)).exit_code == 0
+    common = ["--spec", str(out / "spec.erx"), "--data", str(out / "data")]
+    sol = tmp_path / "solution.txt"
+    sol.write_text(solution, encoding="utf-8")
+    for crit in ("maxES", "minAS", "minVS"):
+        res = run_cli("recognize", *common, "--solution", str(sol), "--criterion", crit,
+                      "--engine", "restricted")
+        assert res.exit_code == 1
+        assert res.output == json.dumps({"criterion": crit, "engine": "restricted",
+                                         "optimal": False, "witness": witness},
+                                        indent=2, sort_keys=True) + "\n"
+    bad = tmp_path / "failing.txt"
+    bad.write_text(failing, encoding="utf-8")
+    res = run_cli("check", *common, "--solution", str(bad))
+    assert res.exit_code == 1
+    assert res.output == verdict + "\n"
+
+
 # ----------------------------------------------------------------- gadget
 
 

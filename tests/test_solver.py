@@ -3,14 +3,17 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from erx.core import Cell, EquivRel, eqrel_close, extend, obj, tid
-from erx.gadgets import Cnf3, HornInput, gen_3sat_restricted_max_e, gen_horn
-from erx.query import SimilarityStore, dc_body_query
+from erx.core import Cell, Database, EquivRel, Fact, eqrel_close, extend, obj, tid, val
+from erx.gadgets import (Cnf3, HornInput, gen_3sat_restricted_max_e, gen_3sat_restricted_min_a,
+                         gen_horn)
+from erx.query import EMPTY_SIM, SimilarityStore, dc_body_query
 from erx.semantics import (
+    ALL_CRITERIA,
     Candidate,
     Criterion,
     criterion_sets,
     identity_candidate,
+    is_candidate,
     is_solution,
 )
 from erx.solver import (
@@ -23,6 +26,7 @@ from erx.solver import (
     enumerate_solutions,
     generator_universe,
     optimal_solutions,
+    recognize_many,
     recognize_optimal_bruteforce,
     recognize_optimal_restricted,
 )
@@ -38,13 +42,17 @@ from conftest import (
     merged_texts,
 )
 from oracles import (
+    close_subset,
     reachable_candidates,
     reference_active_entries,
     reference_eval_boolean,
+    reference_is_candidate,
     reference_is_solution,
+    reference_recognize_restricted,
+    reference_universe,
     solutions_by_subsets,
 )
-from randgen import random_instance
+from randgen import random_cnf, random_horn, random_instance, random_merge_chain
 
 
 def test_enumerate_running_example_exactly_three():
@@ -176,6 +184,15 @@ def test_recognize_bruteforce_running_example():
     not_solution = Candidate(e1, EquivRel.identity(db.cells()))
     res = recognize_optimal_bruteforce(db, spec, not_solution, Criterion.MAX_ES, sim)
     assert not res.optimal and res.witness is None
+
+
+def test_recognize_many_defaults_to_the_empty_similarity_store():
+    # The running example's rules have similarity atoms, so a missing store
+    # would be read.
+    spec, db, _ = build_authors()
+    cand = identity_candidate(db)
+    assert recognize_many(db, spec, cand) == \
+        recognize_many(db, spec, cand, ALL_CRITERIA, EMPTY_SIM)
 
 
 def test_restricted_requires_inequality_free_dcs():
@@ -348,3 +365,121 @@ def test_max_states_budget_names_progress():
     with pytest.raises(BudgetExceededError,
                        match=r"reached 101 merge states, over the budget of 100; \d+ solution"):
         enumerate_solutions(inst.db, inst.spec, SimilarityStore(), cfg)
+
+
+def _small_instance(rng, restricted, extra):
+    return random_instance(rng, max_objects=4, max_facts=6, restricted=restricted, extra=extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.booleans(), st.booleans())
+def test_generator_universe_matches_reference(seed, restricted, extra):
+    spec, db, sim = _small_instance(random.Random(seed), restricted, extra)
+    assert generator_universe(db, spec, sim) == reference_universe(db, spec, sim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.booleans(), st.booleans())
+def test_is_candidate_matches_reference_derivability(seed, restricted, extra):
+    # Random closures are mostly underivable; closures of parts of the
+    # universe often are, and the closure of all of it always is.
+    rng = random.Random(seed)
+    spec, db, sim = _small_instance(rng, restricted, extra)
+    universe = reference_universe(db, spec, sim)
+    cands = [Candidate(e, v) for e, v in random_merge_chain(rng, db)]
+    cands += [close_subset(db, (p for p in universe if rng.random() < 0.5)) for _ in range(3)]
+    cands.append(close_subset(db, universe))
+    for cand in cands:
+        assert is_candidate(db, spec, cand, sim) == reference_is_candidate(db, spec, cand, sim)
+    assert is_candidate(db, spec, cands[-1], sim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.booleans())
+def test_restricted_recognizer_matches_reference(seed, extra):
+    # The verdict and the witness, on solutions and on a random closure.
+    rng = random.Random(seed)
+    spec, db, sim = _small_instance(rng, True, extra)
+    try:
+        sols = enumerate_solutions(db, spec, sim, SearchConfig(pair_budget=9))
+    except BudgetExceededError:
+        assume(False)
+    cands = rng.sample(sols, min(3, len(sols)))
+    cands.append(Candidate(*random_merge_chain(rng, db)[-1]))
+    for cand in cands:
+        for crit in (Criterion.MAX_ES, Criterion.MIN_AS, Criterion.MIN_VS):
+            assert recognize_optimal_restricted(db, spec, cand, crit, sim) == \
+                reference_recognize_restricted(db, spec, cand, crit, sim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_restricted_recognizer_matches_reference_on_gadgets(seed):
+    # Horn gadgets derive through a hard rule, which every seed's
+    # saturation must add.
+    rng = random.Random(seed)
+    if seed % 2:
+        inst = gen_horn(random_horn(rng, max_vars=5))
+    else:
+        inst = gen_3sat_restricted_min_a(random_cnf(rng, 2, max_clauses=2))
+    sim = SimilarityStore()
+    for cand in (inst.candidate, identity_candidate(inst.db)):
+        for crit in (Criterion.MAX_ES, Criterion.MIN_AS, Criterion.MIN_VS):
+            assert recognize_optimal_restricted(inst.db, inst.spec, cand, crit, sim) == \
+                reference_recognize_restricted(inst.db, inst.spec, cand, crit, sim)
+
+
+def test_restricted_minvs_adds_a_violated_pair_active_under_a_new_rule():
+    # At the identity (o1, o2) is violated under r0 only.  Seeding the cell
+    # pair makes it active under r2 as well, a violation entry the input
+    # does not have, so minVS merges it and minAS does not.
+    spec = parse_spec(
+        "schema P(ent: obj, attr: val).\nschema Q(ent: obj).\n"
+        "soft obj r0: P[t1](x, a), Q[t2](y) => EqO(x, y).\n"
+        "soft val r1: P[t1](x, a), P[t2](y, b) => EqV(t1.2, t2.2).\n"
+        "soft obj r2: P[t1](x, a), P[t2](y, a) => EqO(x, y).\n"
+    )
+    db = Database(spec.schema.values(), [
+        Fact(spec.schema["P"], tid("t1"), (obj("o1"), val("v1"))),
+        Fact(spec.schema["P"], tid("t2"), (obj("o2"), val("v2"))),
+        Fact(spec.schema["Q"], tid("t3"), (obj("o2"),)),
+    ])
+    sim = SimilarityStore()
+    ident = identity_candidate(db)
+    cells = (("t1.2", "t2.2"),)
+    expected = {Criterion.MIN_AS: ((), cells), Criterion.MIN_VS: ((("o1", "o2"),), cells)}
+    for crit, shape in expected.items():
+        res = recognize_optimal_restricted(db, spec, ident, crit, sim)
+        assert res == reference_recognize_restricted(db, spec, ident, crit, sim)
+        assert merged_texts(res.witness) == shape
+
+
+def _walk_state(state):
+    return state.labels, state.rows, state.violated, state.entries, state.solution
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.booleans(), st.booleans())
+def test_batched_merge_matches_one_pair_at_a_time(seed, restricted, extra):
+    # Merging several pairs in one delta step gives the state that merging
+    # them one by one gives, and the one evaluated from scratch.
+    rng = random.Random(seed)
+    spec, db, sim = _small_instance(rng, restricted, extra)
+    walk = DerivationWalk(db, spec, sim)
+    sizes = (len(walk.idb.objects), len(walk.idb.cells))
+    kinds = [cells for cells in (0, 1) if sizes[cells] >= 2]
+    assume(kinds)
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        cells = rng.choice(kinds)
+        pairs.append((cells, *sorted(rng.sample(range(sizes[cells]), 2))))
+    if rng.random() < 0.5:
+        start = walk.identity()
+    else:
+        start = walk.state(Candidate(*random_merge_chain(rng, db, steps=2)[-1]))
+    batched = walk.merged(start, pairs)
+    one_by_one = start
+    for p in pairs:
+        one_by_one = walk.merged(one_by_one, [p])
+    assert _walk_state(batched) == _walk_state(one_by_one)
+    assert _walk_state(batched) == _walk_state(walk.state(walk.candidate(batched)))
