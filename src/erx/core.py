@@ -416,10 +416,15 @@ class InternedDatabase:
     partitions have equal label tuples.  An extended database is a tuple of
     *rows*, one per fact of `db.facts`; a row holds the code set at the tid
     position (a singleton) and at each argument position.
+
+    In every state the row at a tid position is the singleton of its
+    original code, and the row at an object position is the class of its
+    original code, so `postings` of the original codes serve every state.
     """
 
     __slots__ = ("schema", "objects", "cells", "constants", "_codes", "fact_rel", "facts_of",
-                 "orig", "cell_of", "_identity", "_obj_at", "_cell_at", "_cell_value")
+                 "orig", "cell_of", "_identity", "_obj_at", "_cell_at", "_cell_value",
+                 "_postings")
 
     def __init__(self, db: Database):
         self.schema = db.schema
@@ -444,7 +449,9 @@ class InternedDatabase:
         self._obj_at = tuple(tuple(occ) for occ in obj_at)
         self._cell_at = tuple(cell_at)
         self._cell_value = tuple(self.orig[fi][pos] for fi, pos in cell_at)
-        self._identity = tuple(tuple(frozenset((k,)) for k in codes) for codes in self.orig)
+        singles = [frozenset((k,)) for k in range(len(self.constants))]
+        self._identity = tuple(tuple(singles[k] for k in codes) for codes in self.orig)
+        self._postings: dict[tuple[str, int], dict[int, tuple[int, ...]]] = {}
 
     def code(self, c: Constant) -> int:
         """The code of a constant, interning it on first sight."""
@@ -456,6 +463,17 @@ class InternedDatabase:
 
     def identity_rows(self) -> tuple[tuple[frozenset[int], ...], ...]:
         return self._identity
+
+    def postings(self, rel: str, pos: int) -> dict[int, tuple[int, ...]]:
+        """The facts of relation `rel` by their original code at position
+        `pos`, in fact order; built on first use."""
+        post = self._postings.get((rel, pos))
+        if post is None:
+            lists: dict[int, list[int]] = {}
+            for fi in self.facts_of.get(rel, ()):
+                lists.setdefault(self.orig[fi][pos], []).append(fi)
+            post = self._postings[rel, pos] = {k: tuple(fs) for k, fs in lists.items()}
+        return post
 
     def number(self, e: Element) -> int:
         """The number of an object or a cell."""

@@ -105,6 +105,15 @@ class SimilarityStore:
         if a != b:
             self._scores[norm_pair(a, b)] = score
 
+    @classmethod
+    def of_ordered(cls, scores: dict[tuple[Constant, Constant], int]) -> "SimilarityStore":
+        """A store that keeps `scores` as given, without `put`'s checks:
+        each key a pair of distinct non-null constants in `norm_pair`
+        order, each score in [0, 100]."""
+        store = cls()
+        store._scores = scores
+        return store
+
     def score(self, a: Constant, b: Constant) -> int:
         if is_null(a) or is_null(b):
             return 0
@@ -233,22 +242,32 @@ class CompiledQuery:
 
         def step(ai, bound):
             """(atom, facts, constant checks, joins on variables bound by
-            earlier atoms, first bindings, joins on variables bound earlier
-            in this atom)."""
+            earlier atoms, first bindings, joins on variables met earlier
+            in this atom, probe).  The probe, when there is one, is the
+            postings of the first join at a tid or object position and the
+            variable it joins.  A bound variable's set holds a class whole
+            or none of it, so a row there meets the set iff the set holds
+            the row's original code (see `InternedDatabase`)."""
             consts, meets, binds, late = [], [], [], []
-            fresh = set()
+            here = set()
+            probe = None
+            sorts = (Sort.TID,) + idb.schema[rel_atoms[ai].rel].type_vec
             for pos, t in enumerate((rel_atoms[ai].tid,) + rel_atoms[ai].args):
                 if isinstance(t, ConstTerm):
                     consts.append((pos, idb.code(Constant(t.sort, t.text))))
+                elif t.name in here:
+                    late.append((pos, var[t.name]))
                 elif t.name in bound:
                     meets.append((pos, var[t.name]))
-                elif t.name in fresh:
-                    late.append((pos, var[t.name]))
+                    here.add(t.name)
+                    # A relation of one fact is scanned: a lookup cannot read fewer.
+                    if probe is None and sorts[pos] is not Sort.VAL and len(facts[ai]) > 1:
+                        probe = idb.postings(rel_atoms[ai].rel, pos), var[t.name]
                 elif t.name in read:
                     binds.append((pos, var[t.name]))
-                    fresh.add(t.name)
-            bound |= fresh
-            return ai, facts[ai], tuple(consts), tuple(meets), tuple(binds), tuple(late)
+                    here.add(t.name)
+            bound |= here
+            return ai, facts[ai], tuple(consts), tuple(meets), tuple(binds), tuple(late), probe
 
         def filtered(ai, bound) -> bool:
             names = [t.name for t in (rel_atoms[ai].tid,) + rel_atoms[ai].args
@@ -270,8 +289,10 @@ class CompiledQuery:
                 out.append(step(ai, bound))
             return tuple(out)
 
-        # Order 0 is for full evaluation; order i + 1 starts from atom i.
-        self._orders = (plan(None),) + tuple(plan(i) for i in range(len(rel_atoms)))
+        # Order 0 is for full evaluation; order i + 1 starts from atom i and
+        # is planned on the first delta search that needs it.
+        self._plan_from = plan
+        self._orders = [plan(None)] + [None] * len(rel_atoms)
         self._rel_set = frozenset(self._rels)
         # An atom over a relation without facts has no witness, so neither
         # has the query.
@@ -307,31 +328,39 @@ class CompiledQuery:
         if self._dead:
             return False
         steps = self._orders[order]
-        if first is None:
-            first = steps[0][1] if steps else ()
+        if steps is None:
+            steps = self._orders[order] = self._plan_from(order - 1)
         return self._descend(steps, 0, len(steps), rows, first, [None] * self._n_vars,
                              [0] * len(steps), leaf)
 
     def _descend(self, steps, d, n, rows, facts, env, chosen, leaf) -> bool:
-        """Try each of `facts` for the atom of step d, then recurse."""
+        """Try each candidate fact for the atom of step d, then recurse.
+        The candidates are `facts` when given, else the probe's postings of
+        the bound codes when they are fewer than the relation's facts, else
+        every fact of the relation."""
         if d == n:
             return leaf(env, chosen)
-        ai, _, consts, meets, binds, late = steps[d]
+        ai, every, consts, meets, binds, late, probe = steps[d]
+        if facts is None:
+            facts = every
+            if probe is not None:
+                post, v = probe
+                if len(env[v]) < len(every):
+                    facts = [f for k in env[v] for f in post.get(k, ())]
         d += 1
-        nxt = steps[d][1] if d < n else ()
         for f in facts:
             row = rows[f]
             for pos, code in consts:
                 if code not in row[pos]:
                     break
             else:
-                e = env.copy()
                 for pos, v in meets:
-                    s = e[v] & row[pos]
-                    if not s:
+                    if env[v].isdisjoint(row[pos]):
                         break
-                    e[v] = s
                 else:
+                    e = env.copy()
+                    for pos, v in meets:
+                        e[v] = e[v] & row[pos]
                     for pos, v in binds:
                         e[v] = row[pos]
                     for pos, v in late:
@@ -341,7 +370,7 @@ class CompiledQuery:
                         e[v] = s
                     else:
                         chosen[ai] = f
-                        if self._descend(steps, d, n, rows, nxt, e, chosen, leaf):
+                        if self._descend(steps, d, n, rows, None, e, chosen, leaf):
                             return True
         return False
 

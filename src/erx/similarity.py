@@ -205,11 +205,12 @@ def build_sim_store(db: Database, cfg: SimConfig = SimConfig(),
     else:
         values = db.value_constants()
     corpus = TfidfCorpus(v.text for v in db.value_constants())
-    store = SimilarityStore()
+    # The values share one sort, so text order is `norm_pair` order.
     ordered = sorted(values, key=lambda c: c.text)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            store.put(a, b, pair_score(a.text, b.text, cfg, corpus))
+    store = SimilarityStore.of_ordered({
+        (a, b): pair_score(a.text, b.text, cfg, corpus)
+        for i, a in enumerate(ordered) for b in ordered[i + 1:]
+    })
     if overrides is not None:
         store = store.updated(overrides)
     return store

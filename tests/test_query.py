@@ -18,8 +18,9 @@ from erx.core import (
     tid,
     val,
 )
-from erx.gadgets import Cnf3, gen_3sat
+from erx.gadgets import Cnf3, HornInput, gen_3sat, gen_horn
 from erx.query import (
+    EMPTY_SIM,
     CompiledQuery,
     Query,
     SimilarityStore,
@@ -33,14 +34,14 @@ from erx.query import (
 from erx.semantics import identity_candidate
 from erx.specdsl import RelAtom, Var, parse_spec
 
-from conftest import build_authors
+from conftest import AUTHORS_SPEC, build_authors
 from oracles import (
     boolean_by_unrestricted_search,
     naive_identity_answers,
     reference_eval_boolean,
     reference_eval_query,
 )
-from randgen import random_body_query, random_instance, random_merge_chain
+from randgen import random_body_query, random_horn, random_instance, random_merge_chain
 
 
 def _authors_states():
@@ -267,3 +268,105 @@ def test_compiled_queries_match_from_scratch_under_merges(seed):
                 assert answers == c.answers(rows) | c.answers_delta(new_rows, changed)
                 assert c.holds(new_rows) == (c.holds(rows) or c.holds_delta(new_rows, changed))
         rows = new_rows
+
+
+# Joins a Horn gadget's rules do not make: head to body position along a
+# chain of three facts, and two atoms on one tid.
+HORN_CHAINS = """\
+dc c1: R[t1](l, a, b, h), R[t2](m, h, c, d), R[t3](k, d, e, f).
+dc c2: R[t1](l, a, b, h), R[t1](m, a, c, d), W[t2](d, q).
+"""
+
+
+def _merge_classes(idb, labels, rows, picked):
+    """Merge the object classes labelled `picked` into one; the new labels,
+    rows and changed facts."""
+    least = min(picked)
+    labels = tuple(least if l in picked else l for l in labels)
+    members = [i for i, l in enumerate(labels) if l == least]
+    rows, changed = idb.merged_rows(rows, False, members)
+    return labels, rows, changed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_horn_queries_match_reference_under_class_merges(seed):
+    # A bound object variable reads the postings of every code in its class.
+    # Merging two to four classes at a time grows classes of three or more
+    # objects, so one lookup unions several codes' postings.
+    rng = random.Random(seed)
+    inst = gen_horn(random_horn(rng, max_vars=8))
+    db = inst.db
+    spec = parse_spec(inst.spec_text + HORN_CHAINS)
+    idb = InternedDatabase(db)
+    bodies = [rule_body_query(r) for r in spec.rules()] + [dc_body_query(d) for d in spec.dcs]
+    compiled = [CompiledQuery(q, idb, EMPTY_SIM) for q in bodies]
+    labels = tuple(range(len(idb.objects)))
+    rows = idb.identity_rows()
+    c1, c2 = idb.number(obj("c1")), idb.number(obj("c2"))
+    for step in range(6):
+        classes = sorted(set(labels))
+        if len(classes) < 2:
+            break
+        picked = set(rng.sample(classes, min(len(classes), rng.randint(2, 4))))
+        if step == 0 and rng.random() < 0.7:
+            # the rule rho joins only once c1 and c2 share a class
+            picked |= {labels[c1], labels[c2]}
+        new_labels, new_rows, changed = _merge_classes(idb, labels, rows, picked)
+        xdb = extend(db, EquivRel.from_labels(idb.objects, new_labels),
+                     EquivRel.identity(db.cells()))
+        for q, c in zip(bodies, compiled):
+            answers = c.answers(new_rows)
+            assert answers == {tuple(idb.code(k) for k in t)
+                               for t in reference_eval_query(q, xdb, EMPTY_SIM)}
+            holds = c.holds(new_rows)
+            assert holds == reference_eval_boolean(q, xdb, EMPTY_SIM)
+            assert answers == c.answers(rows) | c.answers_delta(new_rows, changed)
+            assert holds == (c.holds(rows) or c.holds_delta(new_rows, changed))
+        labels, rows = new_labels, new_rows
+
+
+class CountingRows(tuple):
+    """Rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_horn_rule_join_reads_facts_linearly():
+    # rho joins R[t2] to R[t1] on three object variables.  Scanning R for
+    # every fact of R reads |R|^2 + |R| + 1 rows (3,193 here); reading the
+    # postings of the bound label reads each R fact once for R[t1] and the
+    # two facts of its label for R[t2].
+    n = 28
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    clauses = tuple((f"x{i}", f"x{i}", f"x{i + 1}") for i in range(1, n))
+    inst = gen_horn(HornInput(variables, ("x1",), clauses, f"x{n}"))
+    db, spec = inst.db, inst.spec
+    idb = InternedDatabase(db)
+    c = CompiledQuery(rule_body_query(spec.rule_by_label("rho")), idb, EMPTY_SIM)
+    c1, c2 = idb.number(obj("c1")), idb.number(obj("c2"))
+    _, rows, _ = _merge_classes(idb, tuple(range(len(idb.objects))), idb.identity_rows(),
+                                {c1, c2})
+    counted = CountingRows(rows)
+    answers = c.answers(counted)
+    assert answers == c.answers(rows) and answers
+    assert counted.reads <= 4 * len(db.facts)
+
+
+def test_value_position_join_under_cell_merges_matches_reference():
+    # Value positions keep the scan: with t2's and t3's dob and pob cells
+    # merged, t3's rows hold t1's values although t3's own values differ,
+    # so a lookup by original value would miss the join of t1 with t3.
+    _, db, sim = build_authors()
+    body = parse_spec(AUTHORS_SPEC + "dc j: Author[t1](x, n1, d, p), Author[t2](y, n2, d, p).\n")
+    q = Query(("x", "y"), body.dcs[-1].body)
+    v = eqrel_close([(Cell(tid("t2"), 3), Cell(tid("t3"), 3)),
+                     (Cell(tid("t2"), 4), Cell(tid("t3"), 4))], db.cells())
+    xdb = extend(db, EquivRel.identity(db.objects()), v)
+    answers = eval_query(q, xdb, sim)
+    assert answers == reference_eval_query(q, xdb, sim)
+    assert (obj("a1"), obj("a3")) in answers

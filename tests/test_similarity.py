@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import erx.similarity
-from erx.core import Database, DomainError, Fact, NULL, obj, tid, val
+from erx.core import Database, DomainError, Fact, NULL, element_key, norm_pair, obj, tid, val
 from erx.gadgets import Cnf3, gen_3sat_restricted_min_a
 from erx.query import SimilarityStore
 from erx.similarity import (
@@ -211,9 +211,14 @@ def values_db(r_values, s_values=()):
 def test_store_matches_per_pair_reference(r_values, s_values):
     # S values are in the corpus but, under the spec, in no pair.
     db = values_db(r_values, s_values)
+    values = list(db.value_constants())
+    # The store keys pairs in text order without normalising them; for
+    # value constants that is `norm_pair` (element_key) order.
+    assert sorted(values, key=lambda c: c.text) == sorted(values, key=element_key)
     for spec in (None, STORE_SPEC):
         store = build_sim_store(db, SimConfig(), spec=spec)
         assert store.items() == reference_sim_store(db, SimConfig(), spec=spec).items()
+        assert all(pair == norm_pair(*pair) for pair, _ in store.items())
 
 
 @settings(max_examples=60, deadline=None)
